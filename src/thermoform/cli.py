@@ -465,7 +465,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except Exception as exc:  # jsonschema.ValidationError included
         if type(exc).__name__ == "ValidationError":
-            print(f"config schema violation: {exc}", file=sys.stderr)
+            print(f"config schema violation at {exc.json_path}: {exc.message}",
+                  file=sys.stderr)
             return EXIT_VALIDATION
         raise
     print(f"done in {time.monotonic() - started:.2f}s", file=sys.stderr)

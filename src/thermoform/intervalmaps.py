@@ -26,6 +26,7 @@ MANNEVILLE_POMEAU = "manneville_pomeau"
 DOUBLING_GRID = "doubling_grid"
 
 _BISECT_STEPS = 60
+MP_MAX_LEVELS = 2000
 
 
 @dataclass(frozen=True)
@@ -381,6 +382,37 @@ def mp_preimage_ladder(alpha: float, n_levels: int) -> np.ndarray:
     return ladder
 
 
+def _mp_level_values(model: IntervalMapModel, ladder: np.ndarray) -> np.ndarray:
+    """-log|DF| at the periodic point of every level branch, levels 1..L at once.
+
+    Row n-1 of every array belongs to level n, whose branch
+    [ (1 + xi_{n-1})/2, (1 + xi_{n-2})/2 ) returns to [1/2, 1) after n steps.
+    The levels are bisected together; level n stops moving after its n-th
+    step, so the rows still moving at step k are those from k on.  The
+    arithmetic per level is the same as bisecting each level on its own, and
+    each level's log-derivative sum keeps its own summation order.
+    """
+    n_levels = len(ladder) - 1
+    left = 0.5 * (1.0 + ladder[:-1])
+    right = 0.5 * (1.0 + np.concatenate(([1.0], ladder[:-2])))
+    a, b = left, right - 1e-15
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (a + b)
+        y = mid.copy()
+        for k in range(n_levels):
+            y[k:] = model.apply(y[k:])
+        below = y < mid
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    y = 0.5 * (a + b)
+    orbit = np.empty((n_levels, n_levels))
+    for i in range(n_levels):
+        orbit[i:, i] = y[i:]
+        y[i:] = model.apply(y[i:])
+    return np.array([-float(np.sum(np.log(model.deriv_abs(orbit[n - 1, :n]))))
+                     for n in range(1, n_levels + 1)])
+
+
 def mp_induced_model(alpha: float, n_levels: int = 200) -> RenewalModel:
     """First-return model of the Manneville-Pomeau map on [1/2, 1).
 
@@ -389,40 +421,18 @@ def mp_induced_model(alpha: float, n_levels: int = 200) -> RenewalModel:
     constant stand-in, no distortion constant claimed).  The tail envelope is
     fitted on the upper half of the computed levels and the fitted shape
     extends the model beyond them; the fit residual is reported as the
-    envelope eps.
+    envelope eps.  The build holds a levels x levels orbit array, so the
+    level count is capped at MP_MAX_LEVELS.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if n_levels < 8:
         raise ValueError("need at least 8 levels")
-    model = manneville_pomeau_model(alpha)
-    ladder = mp_preimage_ladder(alpha, n_levels)
-
+    if n_levels > MP_MAX_LEVELS:
+        raise ValueError(f"at most {MP_MAX_LEVELS} levels, got {n_levels}")
     s_vals = np.empty(n_levels + 1)  # index = level, entry 0 unused
-    for n in range(1, n_levels + 1):
-        left = 0.5 * (1.0 + ladder[n - 1])
-        right = 0.5 * (1.0 + (ladder[n - 2] if n >= 2 else 1.0))
-
-        def f_return(x):
-            y = model.apply(np.asarray(x))
-            for _ in range(n - 1):
-                y = model.apply(y)
-            return y
-
-        a, b = left, right - 1e-15
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (a + b)
-            if float(f_return(mid)) < mid:
-                a = mid
-            else:
-                b = mid
-        x = 0.5 * (a + b)
-        orbit = np.empty(n)
-        xi = x
-        for i in range(n):
-            orbit[i] = xi
-            xi = float(model.apply(np.array(xi)))
-        s_vals[n] = -float(np.sum(np.log(model.deriv_abs(orbit))))
+    s_vals[1:] = _mp_level_values(manneville_pomeau_model(alpha),
+                                  mp_preimage_ladder(alpha, n_levels))
 
     n_start = max(n_levels // 2, 2)
     ns_fit = np.arange(n_start, n_levels + 1, dtype=float)

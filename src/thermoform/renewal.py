@@ -28,8 +28,7 @@ modeling assumption of this engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -65,7 +64,10 @@ class RenewalModel:
     """Abstract first-return model: multiplicities, induced values, floor.
 
     `s` must accept an integer ndarray and return induced values; it has to
-    agree with the envelope beyond n_start.  log m_n = mult_slope*n +
+    agree with the envelope beyond n_start.  It must also be elementwise: the
+    value at level n depends on n alone, never on the other levels asked for
+    in the same call, because the model's level table evaluates `s` in
+    blocks of new levels (see `s_table`).  log m_n = mult_slope*n +
     mult_offset holds exactly (m_n = 1 and m_n = 2^(n-1) are the two shapes
     realized by the sequence families).  The floor is affine,
     p_B(t) = bad_entropy + t*bad_value, and both families have bad_value = 0
@@ -79,9 +81,33 @@ class RenewalModel:
     bad_entropy: float = 0.0
     bad_value: float = 0.0
     label: str = ""
+    # s_1..s_len, grown by s_table; None until the envelope has been validated
+    _s_table: np.ndarray | None = field(default=None, init=False, compare=False,
+                                        repr=False)
 
     def s_values(self, n) -> np.ndarray:
         return np.asarray(self.s(np.asarray(n, dtype=np.int64)), dtype=float)
+
+    def s_table(self, m: int) -> np.ndarray:
+        """s_1..s_m, read from the model's level table.
+
+        The first call validates the envelope.  The table grows by evaluating
+        `s` on the levels it does not yet hold; a grown table is a new array
+        swapped in whole, never written in place, so concurrent callers can at
+        worst repeat work.  The returned view is read-only.
+        """
+        table = self._s_table
+        if table is None:
+            _validate_envelope(self)
+            table = np.empty(0)
+        if len(table) < m:
+            new = self.s_values(np.arange(len(table) + 1, m + 1, dtype=np.int64))
+            table = np.concatenate((table, new))
+            table.setflags(write=False)
+            current = self._s_table
+            if current is None or len(current) < m:
+                object.__setattr__(self, "_s_table", table)
+        return table[:m]
 
     def log_mult(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=float)
@@ -96,7 +122,6 @@ class RenewalModel:
                        label=f"{self.label}+shift({u:.6g})")
 
 
-@lru_cache(maxsize=256)
 def _validate_envelope(model: RenewalModel) -> bool:
     e = model.envelope
     ns = np.arange(e.n_start, e.n_start + 1001, dtype=np.int64)
@@ -120,8 +145,9 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
     """
     if n_weight not in (0, 1):
         raise ValueError("n_weight must be 0 or 1")
-    _validate_envelope(model)
     e = model.envelope
+    m = max(e.n_start + 1, 1024)
+    s_head = model.s_table(m)
     rho = model.mult_slope + t * e.slope - p
     a_w = -t * e.log_coeff  # polynomial exponent of the weights
     c_up = model.mult_offset + t * e.offset + abs(t) * e.eps
@@ -131,7 +157,7 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
         a_tail = a_w + n_weight
         if rho > 0 or (rho == 0.0 and a_tail >= -1.0):
             ns = np.arange(1, 65, dtype=np.int64)
-            logw = model.log_mult(ns) + t * model.s_values(ns) - ns * p
+            logw = model.log_mult(ns) + t * s_head[:64] - ns * p
             partial = float(np.sum(ns ** n_weight * np.exp(np.minimum(logw, 690.0))))
             return CertifiedSum(partial, INF, 64, "divergent")
     else:
@@ -139,10 +165,9 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
         if rho > 0 or (rho == 0.0 and a_w + 1.0 >= -1.0):
             raise ValueError("s-weighted series requested in a divergent regime")
 
-    m = max(e.n_start + 1, 1024)
     while True:
         ns = np.arange(1, m + 1, dtype=np.int64)
-        sv = model.s_values(ns)
+        sv = model.s_table(m)
         w = np.exp(model.log_mult(ns) + t * sv - ns * p)
         if s_weight:
             partial = float(np.sum(sv * w))

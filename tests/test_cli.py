@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import thermoform
 from thermoform.cli import main, run_config, thread_count, validate_config
 from thermoform.demos import demo_names, describe_demos, run_demo
 
@@ -79,6 +80,18 @@ def test_exit_codes(tmp_path):
     assert main(["run", str(good), "-o", str(tmp_path / "o3")]) == 0
 
 
+def test_mp_level_cap_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "mp.json"
+    cfg.write_text(json.dumps({
+        "model": "interval",
+        "interval": {"kind": "manneville_pomeau", "alpha": 0.5, "levels": 100000},
+        "task": {"classify": {"t": 1.0}}}))
+    assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "2000" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_demo_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_demo("grid-dfu", str(out1))
@@ -140,7 +153,11 @@ def test_gnuplot_emission(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the same thermoform as this process, installed or not
+    src = os.path.dirname(os.path.dirname(thermoform.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "thermoform.cli", "list-demos"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "grid-dfu" in proc.stdout

@@ -108,6 +108,50 @@ def test_mp_pressure_values():
     assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
 
 
+def scalar_mp_level_values(alpha, n_levels):
+    """Reference: bisect each level's return point on its own, scalar calls."""
+    model = manneville_pomeau_model(alpha)
+    ladder = mp_preimage_ladder(alpha, n_levels)
+    s_vals = np.empty(n_levels)
+    for n in range(1, n_levels + 1):
+        left = 0.5 * (1.0 + ladder[n - 1])
+        right = 0.5 * (1.0 + (ladder[n - 2] if n >= 2 else 1.0))
+
+        def f_return(x):
+            y = model.apply(np.asarray(x))
+            for _ in range(n - 1):
+                y = model.apply(y)
+            return y
+
+        a, b = left, right - 1e-15
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            if float(f_return(mid)) < mid:
+                a = mid
+            else:
+                b = mid
+        xi = 0.5 * (a + b)
+        orbit = np.empty(n)
+        for i in range(n):
+            orbit[i] = xi
+            xi = float(model.apply(np.array(xi)))
+        s_vals[n - 1] = -float(np.sum(np.log(model.deriv_abs(orbit))))
+    return s_vals
+
+
+@pytest.mark.parametrize("n_levels", [8, 33])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_mp_levels_match_scalar_reference_bitwise(alpha, n_levels):
+    model = mp_induced_model(alpha, n_levels)
+    built = model.s_values(np.arange(1, n_levels + 1))
+    assert np.array_equal(built, scalar_mp_level_values(alpha, n_levels))
+
+
+def test_mp_level_count_is_capped():
+    with pytest.raises(ValueError, match="2000"):
+        mp_induced_model(0.5, 2001)
+
+
 def transient_grid_sequence():
     return RealizedSequence((-LOG4,) * 30, 3.0, 30)
 

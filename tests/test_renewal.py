@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from thermoform import (EnvelopeError, IndeterminateError, RenewalModel,
                         smoothness_at_transition, solve_pressure, solve_rpf,
                         NULL_RECURRENT, POSITIVE_RECURRENT, TRANSIENT,
                         FIRST_ORDER, C1)
+from thermoform import sequences as sq
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -304,3 +307,63 @@ def test_abramov_truncation_consistency_grid():
     sol = solve_rpf(build_transfer_matrix(shift, pot), tol=1e-13)
     assert sol.pressure <= target + 1e-12
     assert target - sol.pressure <= 1e-6
+
+
+def counted_model(calls):
+    """Geometric levels with an eps-wide wiggle, so G needs several doublings."""
+    def s(n):
+        n = np.asarray(n, dtype=float)
+        calls.append(n)
+        return -0.01 * n + 1e-3 * np.sin(n)
+    return RenewalModel(s, TailEnvelope(-0.01, 0.0, 0.0, 1e-3, 1),
+                        0.0, 0.0, 0.0, 0.0, "counted")
+
+
+def test_s_table_evaluates_each_level_once():
+    calls = []
+    model = counted_model(calls)
+    g1 = certified_G(model, 1.0, 0.0)
+    g2 = certified_G(model, 0.5, 0.0)
+    assert g2.n_terms > g1.n_terms > 1024  # both calls grow the table
+    validation = np.arange(1, 1002)
+    table_calls = [c for c in calls if not np.array_equal(c, validation)]
+    assert len(calls) - len(table_calls) == 2  # one envelope validation
+    levels = np.concatenate(table_calls)
+    assert np.array_equal(levels, np.arange(1, g2.n_terms + 1))
+    ns = np.arange(1, g2.n_terms + 1)
+    assert np.array_equal(model.s_table(g2.n_terms), model.s_values(ns))
+
+
+def test_s_table_concurrent_growth():
+    model = counted_model([])
+    reference = model.s_values(np.arange(1, 4097))
+    sizes = [int(m) for m in np.random.default_rng(7).integers(1, 4097, 200)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            tables = list(pool.map(model.s_table, sizes))
+    finally:
+        sys.setswitchinterval(old)
+    for m, table in zip(sizes, tables):
+        assert np.array_equal(table, reference[:m])
+
+
+def test_pressure_curve_threads_match_serial():
+    def dfu():
+        return sq.realize_model(sq.dfu_perturb(
+            sq.normalize(sq.build_tail(3.0, 1), 2.0), 0.2), sq.GRID)
+    grid = np.linspace(0.2, 2.0, 10)
+    serial = pressure_curve(dfu(), grid)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            threaded = pressure_curve(dfu(), grid, map_fn=pool.map)
+    finally:
+        sys.setswitchinterval(old)
+    for name in ("p", "derivatives", "G_values", "enclosure_widths"):
+        assert np.array_equal(getattr(threaded, name), getattr(serial, name))
+    assert threaded.classes == serial.classes
+    assert threaded.derivative_kinds == serial.derivative_kinds
+    assert threaded.transitions == serial.transitions
