@@ -20,9 +20,9 @@ from .shifts import (FiniteShift, LocallyConstantPotential, MixingVerdict,
                      full_shift, golden_mean_shift, is_admissible,
                      is_topologically_mixing, renewal_shift, variation)
 from .transfer import (ComponentDecomposition, RPFSolution, TransferMatrix,
-                       build_transfer_matrix, component_pressure_curve,
-                       cylinder_weight, decompose_components,
-                       gibbs_constant_check, pressure_curve_finite, solve_rpf)
+                       build_transfer_matrix, cylinder_weight,
+                       decompose_components, gibbs_constant_check,
+                       pressure_curve_finite, solve_rpf)
 from .renewal import (Derivative, FlatInterval, PressureCurve, PressureRoot,
                       RecurrenceClass, RenewalModel, SmoothnessVerdict,
                       TailEnvelope, WitnessReport, certified_G,
@@ -39,7 +39,8 @@ from .sequences import (RealizedSequence, SequenceSpec, build_tail,
                         sequence_table, with_leading_shift)
 from .intervalmaps import (GurevichEstimate, IntervalMapModel,
                            PeriodicOrbitSample, SarigDiagnostic, ZnResult,
-                           chebyshev_model, chebyshev_pressure_exact,
+                           chebyshev_model, chebyshev_pressure_curve,
+                           chebyshev_pressure_exact,
                            doubling_grid_model, gurevich_estimate,
                            hofbauer_doubling_model, manneville_pomeau_model,
                            mp_induced_model, mp_preimage_ladder,

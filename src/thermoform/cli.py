@@ -1,9 +1,16 @@
-"""Command-line front end: validate a JSON config, run tasks, emit files.
+"""Command-line front end: parse a JSON config, dispatch its tasks, write files.
+
+`run_config` validates and parses the config, resolves an interval map's
+first-return renewal model once when a task needs it, runs each task
+through the task table of its model kind (TASKS), formats the payloads and
+writes the files.  The model logic lives in the library.
 
 Outputs are deterministic: fixed column order, 17-significant-digit floats,
 LF line endings, sorted JSON keys, and no timestamps inside data files
-(timing goes to stderr).  Exit codes: 0 success, 2 validation error,
-3 numerical indeterminacy.
+(timing goes to stderr).  Exit codes: 0 success; 2 validation error,
+including a task the model kind does not support and t_min >= t_max;
+3 numerical failure (indeterminacy, no convergence, overflow or another
+ArithmeticError).  Each failure prints one line to stderr.
 
     thermoform run <config.json> -o <dir> [--tol <x>] [--gnuplot]
     thermoform demo <name> -o <dir> [--tol <x>]
@@ -22,25 +29,25 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import demos as demo_registry
 from .errors import ConvergenceError, IndeterminateError
 from .intervalmaps import (CHEBYSHEV, DOUBLING_GRID, MANNEVILLE_POMEAU,
-                           IntervalMapModel, chebyshev_model,
-                           chebyshev_pressure_exact, doubling_grid_model,
-                           gurevich_estimate, hofbauer_doubling_model,
-                           manneville_pomeau_model, mp_induced_model,
-                           two_slope_kink, zn_sum)
-from .renewal import (classify, conformal_atom_masses, cyr_sarig_witness,
+                           chebyshev_model, chebyshev_pressure_curve,
+                           doubling_grid_model, gurevich_estimate,
+                           hofbauer_doubling_model, manneville_pomeau_model,
+                           mp_induced_model, two_slope_kink, zn_sum)
+from .renewal import (NON_UNIQUE, POSITIVE_RECURRENT, classify,
+                      conformal_atom_masses, cyr_sarig_witness,
                       locate_flat_interval, pressure_curve,
-                      smoothness_at_transition, solve_pressure)
+                      smoothness_at_transition)
 from .sequences import (RealizedSequence, SequenceSpec, from_spec,
                         realize_model, sequence_table)
-from .shifts import FiniteShift, LocallyConstantPotential, is_topologically_mixing
-from .transfer import (build_transfer_matrix, component_pressure_curve,
-                       decompose_components, solve_rpf)
+from .shifts import FiniteShift, LocallyConstantPotential
+from .transfer import decompose_components, pressure_curve_finite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -128,39 +135,8 @@ def _parse_interval(block: dict):
     return doubling_grid_model(seq)
 
 
-def _grid(task: dict) -> np.ndarray:
-    return np.linspace(task["t_min"], task["t_max"], task["steps"])
-
-
-def _check_curve_rows(rows, floor=None) -> None:
-    """Floor domination and convexity must hold before anything is written."""
-    ts = np.array([r[0] for r in rows], dtype=float)
-    ps = np.array([r[1] for r in rows], dtype=float)
-    if floor is not None and np.any(ps < floor(ts) - 1e-12):
-        raise ArithmeticError("curve dips below the pressure floor")
-    if len(ts) >= 3:
-        slopes = np.diff(ps) / np.diff(ts)
-        if np.any(np.diff(slopes) < -1e-9):
-            raise ArithmeticError("curve failed the convexity check")
-
-
-def _curve_files(outdir: str, curve_rows, transitions_obj, gnuplot: bool) -> list[str]:
-    curve_rows = list(curve_rows)
-    _check_curve_rows(curve_rows)
-    files = ["curve.csv"]
-    write_csv(os.path.join(outdir, "curve.csv"),
-              ["t", "p", "class", "Dp", "G", "enclosure_width"], curve_rows)
-    write_json(os.path.join(outdir, "transitions.json"), transitions_obj)
-    files.append("transitions.json")
-    if gnuplot:
-        script = ("set datafile separator ','\n"
-                  "set key autotitle columnhead\n"
-                  "set xlabel 't'\n"
-                  "set ylabel 'pressure (nats)'\n"
-                  "plot 'curve.csv' using 1:2 with linespoints\n")
-        _write_text(os.path.join(outdir, "curve.gp"), script)
-        files.append("curve.gp")
-    return files
+def _grid(sub: dict) -> np.ndarray:
+    return np.linspace(sub["t_min"], sub["t_max"], sub["steps"])
 
 
 def _iv(pair) -> list[float]:
@@ -173,245 +149,203 @@ def _sum_payload(cs) -> dict:
             "tail_method": cs.tail_method}
 
 
-def _run_renewal_tasks(model, seq, task: dict, outdir: str, root_tol: float,
-                       sum_tol: float, gnuplot: bool, map_fn):
-    outputs: dict = {}
-    files: list[str] = []
-    warnings: list[str] = []
-    if "pressure_curve" in task:
-        curve = pressure_curve(model, _grid(task["pressure_curve"]),
-                               root_tol=root_tol, sum_tol=sum_tol, map_fn=map_fn)
-        warnings.extend(curve.warnings)
-        transitions_obj = {"transitions": curve.transitions, "warnings": curve.warnings}
-        files.extend(_curve_files(outdir, curve.rows(), transitions_obj, gnuplot))
-        outputs["pressure_curve"] = {
-            "points": len(curve.t),
-            "max_enclosure_width": float(np.max(curve.enclosure_widths)),
-            "classes": sorted(set(curve.classes)),
-        }
-    if "classify" in task:
-        t = task["classify"]["t"]
-        cls = classify(model, t, sum_tol=sum_tol)
-        outputs["classify"] = {
-            "t": t, "class": cls.kind, "pressure": cls.root.pressure,
+# -- task handlers: (task block, run) -> report payload ----------------------
+# `run` holds the parsed subjects (renewal, seq, shift, potential, interval),
+# the tolerances, and the files and warnings the tasks leave to be written.
+
+CURVE_HEADER = ["t", "p", "class", "Dp", "G", "enclosure_width"]
+GNUPLOT_SCRIPT = ("set datafile separator ','\n"
+                  "set key autotitle columnhead\n"
+                  "set xlabel 't'\n"
+                  "set ylabel 'pressure (nats)'\n"
+                  "plot 'curve.csv' using 1:2 with linespoints\n")
+
+
+def _curve(run, curve, **summary) -> dict:
+    run.warnings.extend(curve.warnings)
+    run.files["curve.csv"] = (write_csv, CURVE_HEADER, list(curve.rows()))
+    run.files["transitions.json"] = (write_json, {"transitions": curve.transitions,
+                                                  "warnings": curve.warnings})
+    if run.gnuplot:
+        run.files["curve.gp"] = (_write_text, GNUPLOT_SCRIPT)
+    return {"points": len(curve.t), **summary}
+
+
+def _renewal_curve(sub: dict, run) -> dict:
+    curve = pressure_curve(run.renewal, _grid(sub), root_tol=run.root_tol,
+                           sum_tol=run.sum_tol, map_fn=run.map_fn)
+    return _curve(run, curve, max_enclosure_width=float(np.max(curve.enclosure_widths)),
+                  classes=sorted(set(curve.classes)))
+
+
+def _finite_curve(sub: dict, run) -> dict:
+    curve, mixing = pressure_curve_finite(run.shift, run.potential, _grid(sub),
+                                          tol=min(run.root_tol, 1e-12))
+    return _curve(run, curve, mixing=mixing)
+
+
+def _chebyshev_curve(sub: dict, run) -> dict:
+    return _curve(run, chebyshev_pressure_curve(_grid(sub)), exact=True)
+
+
+def _classify(sub: dict, run) -> dict:
+    t = sub["t"]
+    cls = classify(run.renewal, t, sum_tol=run.sum_tol)
+    return {"t": t, "class": cls.kind, "pressure": cls.root.pressure,
             "G": _sum_payload(cls.G),
-            "H": _sum_payload(cls.H) if cls.H is not None else None,
-        }
-    if "transitions" in task:
-        bracket = tuple(task["transitions"]["bracket"])
-        flat = locate_flat_interval(model, bracket, tol=max(root_tol, 1e-9),
-                                    sum_tol=sum_tol)
-        if flat is None:
-            outputs["transitions"] = {"flat_interval": None}
-        else:
-            entry = {
-                "t_start": flat.t_start,
-                "start_bracket": _iv(flat.start_bracket),
-                "t_end": None if flat.unbounded else flat.t_end,
-                "end_bracket": None if flat.end_bracket is None else _iv(flat.end_bracket),
-                "smoothness_start": smoothness_at_transition(model, flat.t_start,
-                                                             sum_tol=sum_tol).kind,
-            }
-            if not flat.unbounded:
-                entry["smoothness_end"] = smoothness_at_transition(
-                    model, flat.t_end, sum_tol=sum_tol).kind
-            outputs["transitions"] = {"flat_interval": entry}
-    if "atoms" in task:
-        t = task["atoms"]["t"]
-        atoms = conformal_atom_masses(model, t, sum_tol=sum_tol)
-        outputs["atoms"] = {
-            "t": t, "verdict": atoms.verdict, "atom": _iv(atoms.atom_clamped),
-            "preimage_mass": _iv(atoms.preimage_mass),
-            "level_masses_head": [float(x) for x in atoms.level_masses[:8]],
-        }
-    if "witness" in task:
-        t = task["witness"]["t"]
-        wit = cyr_sarig_witness(model, t, tol=root_tol, sum_tol=sum_tol)
-        outputs["witness"] = {
-            "t": t, "u0": wit.u0, "u0_enclosure": _iv(wit.u0_enclosure),
-            "transient": wit.transient, "delta_half": wit.delta_half,
-            "delta_double": wit.delta_double,
-        }
-    if "sequence_table" in task:
-        if seq is None:
-            raise ValueError("sequence_table needs a sequence-backed model")
-        table = sequence_table(seq, task["sequence_table"]["n_max"])
-        write_csv(os.path.join(outdir, "sequence.csv"), ["n", "a_n", "s_n"], table)
-        files.append("sequence.csv")
-        outputs["sequence_table"] = {"rows": len(table)}
-    return outputs, files, warnings
+            "H": _sum_payload(cls.H) if cls.H is not None else None}
 
 
-def _run_finite_tasks(shift, potential, task: dict, outdir: str, root_tol: float,
-                      gnuplot: bool):
-    outputs: dict = {}
-    files: list[str] = []
-    warnings: list[str] = []
-    if "pressure_curve" in task:
-        ts = _grid(task["pressure_curve"])
-        mixing = is_topologically_mixing(shift, n_max=shift.alphabet_size ** 2 + 1)
-        rows = []
-        if mixing:
-            for t in ts:
-                sol = solve_rpf(build_transfer_matrix(shift, potential.scaled(float(t))),
-                                tol=min(root_tol, 1e-12))
-                phi = np.array([potential(w[:potential.depth]) for w in sol.matrix.states])
-                rows.append((float(t), sol.pressure, "positive-recurrent",
-                             float(sol.mu @ phi), 1.0, sol.residual))
-        else:
-            warnings.append("shift is not mixing; component maximum reported")
-            for t in ts:
-                dec = decompose_components(shift, potential, t=float(t))
-                if len(dec.maximizers) > 1:
-                    label, dp = "non-unique-equilibrium", math.nan
-                else:
-                    comp = dec.components[dec.maximizers[0]]
-                    label = "positive-recurrent"
-                    if comp.solution is not None:
-                        # states use component-local symbols; map back
-                        phi = np.array([potential(tuple(comp.symbols[s] for s in
-                                                        w[:potential.depth]))
-                                        for w in comp.solution.matrix.states])
-                        dp = float(comp.solution.mu @ phi)
-                    else:
-                        dp = math.nan
-                rows.append((float(t), dec.pressure, label, dp, 1.0, 0.0))
-        transitions_obj = {"transitions": [], "warnings": warnings}
-        files.extend(_curve_files(outdir, rows, transitions_obj, gnuplot))
-        outputs["pressure_curve"] = {"points": len(ts), "mixing": bool(mixing)}
-    if "classify" in task:
-        t = task["classify"]["t"]
-        dec = decompose_components(shift, potential, t=float(t))
-        outputs["classify"] = {
-            "t": t, "pressure": dec.pressure,
-            "n_components": len(dec.components),
+def _finite_classify(sub: dict, run) -> dict:
+    t = sub["t"]
+    dec = decompose_components(run.shift, run.potential, t=float(t))
+    return {"t": t, "pressure": dec.pressure, "n_components": len(dec.components),
             "n_maximizers": len(dec.maximizers),
-            "class": "positive-recurrent" if len(dec.maximizers) == 1
-                     else "non-unique-equilibrium",
-        }
-    return outputs, files, warnings
+            "class": POSITIVE_RECURRENT if dec.unique_maximizer else NON_UNIQUE}
 
 
-def _run_interval_tasks(model: IntervalMapModel, block: dict, task: dict, outdir: str,
-                        root_tol: float, sum_tol: float, gnuplot: bool, map_fn):
-    outputs: dict = {}
-    files: list[str] = []
-    warnings: list[str] = []
-    induced = None
+def _transitions(sub: dict, run) -> dict:
+    model, sum_tol = run.renewal, run.sum_tol
+    flat = locate_flat_interval(model, tuple(sub["bracket"]),
+                                tol=max(run.root_tol, 1e-9), sum_tol=sum_tol)
+    if flat is None:
+        return {"flat_interval": None}
+    entry = {
+        "t_start": flat.t_start,
+        "start_bracket": _iv(flat.start_bracket),
+        "t_end": None if flat.unbounded else flat.t_end,
+        "end_bracket": None if flat.end_bracket is None else _iv(flat.end_bracket),
+        "smoothness_start": smoothness_at_transition(model, flat.t_start,
+                                                     sum_tol=sum_tol).kind,
+    }
+    if not flat.unbounded:
+        entry["smoothness_end"] = smoothness_at_transition(
+            model, flat.t_end, sum_tol=sum_tol).kind
+    return {"flat_interval": entry}
 
-    def get_induced():
-        nonlocal induced
-        if induced is None:
-            if model.kind == MANNEVILLE_POMEAU:
-                induced = mp_induced_model(model.alpha, block.get("levels", 150))
-            elif model.kind == DOUBLING_GRID:
-                induced = hofbauer_doubling_model(model.seq)
-            else:
-                raise ValueError("no induced model for this kind; use gurevich/zn tasks")
-        return induced
 
-    if "pressure_curve" in task:
-        ts = _grid(task["pressure_curve"])
-        if model.kind == CHEBYSHEV:
-            rows = []
-            for t in ts:
-                p = chebyshev_pressure_exact(float(t))
-                if abs(t + 1.0) < 1e-12:
-                    label, dp = "non-unique-equilibrium", math.nan
-                elif t < -1.0:
-                    label, dp = "transient", -math.log(4.0)
-                else:
-                    label, dp = "positive-recurrent", -math.log(2.0)
-                rows.append((float(t), p, label, dp, math.nan, 0.0))
-            transitions_obj = {"transitions": [{"t": -1.0, "kind": "kink",
-                                                "smoothness": "first-order"}],
-                               "warnings": []}
-            files.extend(_curve_files(outdir, rows, transitions_obj, gnuplot))
-            outputs["pressure_curve"] = {"points": len(ts), "exact": True}
-        else:
-            sub_out, sub_files, sub_warn = _run_renewal_tasks(
-                get_induced(), None, {"pressure_curve": task["pressure_curve"]},
-                outdir, root_tol, sum_tol, gnuplot, map_fn)
-            outputs.update(sub_out)
-            files.extend(sub_files)
-            warnings.extend(sub_warn)
-    for name in ("classify", "transitions", "atoms", "witness"):
-        if name in task:
-            sub_out, sub_files, sub_warn = _run_renewal_tasks(
-                get_induced(), None, {name: task[name]}, outdir, root_tol,
-                sum_tol, gnuplot, map_fn)
-            outputs.update(sub_out)
-            files.extend(sub_files)
-            warnings.extend(sub_warn)
-    if "zn" in task:
-        sub = task["zn"]
-        base = tuple(sub.get("base", (0.0, 1.0 + 1e-12)))
-        rows = []
-        for n in range(1, sub["n_max"] + 1):
-            z = zn_sum(model, sub["t"], n, base)
-            growth = math.log(z.value) / n if z.value > 0 else math.nan
-            rows.append((float(n), z.value, growth, float(z.in_base), float(z.skipped)))
-        write_csv(os.path.join(outdir, "zn.csv"),
-                  ["n", "Z_n", "log_Zn_over_n", "points_in_base", "skipped"], rows)
-        files.append("zn.csv")
-        outputs["zn"] = {"t": sub["t"], "n_max": sub["n_max"], "base": _iv(base)}
-    if "gurevich" in task:
-        sub = task["gurevich"]
-        rows = []
-        ests = []
-        for t in sub["t_values"]:
-            est = gurevich_estimate(model, float(t), sub["n_max"])
-            ests.append(est)
-            rows.append((float(t), est.extrapolated, float(est.raw[-1]),
-                         est.spread, float(est.skipped)))
-        write_csv(os.path.join(outdir, "gurevich.csv"),
-                  ["t", "extrapolated", "raw_last", "spread", "skipped"], rows)
-        files.append("gurevich.csv")
-        outputs["gurevich"] = {"t_values": list(sub["t_values"]), "n_max": sub["n_max"]}
-        if len(sub["t_values"]) >= 6:
-            t_star, s_left, s_right = two_slope_kink(
-                sub["t_values"], [e.extrapolated for e in ests])
-            outputs["gurevich"]["kink"] = {"t": t_star, "left_slope": s_left,
-                                           "right_slope": s_right}
-    return outputs, files, warnings
+def _atoms(sub: dict, run) -> dict:
+    t = sub["t"]
+    atoms = conformal_atom_masses(run.renewal, t, sum_tol=run.sum_tol)
+    return {"t": t, "verdict": atoms.verdict, "atom": _iv(atoms.atom_clamped),
+            "preimage_mass": _iv(atoms.preimage_mass),
+            "level_masses_head": [float(x) for x in atoms.level_masses[:8]]}
+
+
+def _witness(sub: dict, run) -> dict:
+    t = sub["t"]
+    wit = cyr_sarig_witness(run.renewal, t, tol=run.root_tol, sum_tol=run.sum_tol)
+    return {"t": t, "u0": wit.u0, "u0_enclosure": _iv(wit.u0_enclosure),
+            "transient": wit.transient, "delta_half": wit.delta_half,
+            "delta_double": wit.delta_double}
+
+
+def _sequence_table(sub: dict, run) -> dict:
+    table = sequence_table(run.seq, sub["n_max"])
+    run.files["sequence.csv"] = (write_csv, ["n", "a_n", "s_n"], table)
+    return {"rows": len(table)}
+
+
+def _zn(sub: dict, run) -> dict:
+    base = tuple(sub.get("base", (0.0, 1.0 + 1e-12)))
+    rows = []
+    for n in range(1, sub["n_max"] + 1):
+        z = zn_sum(run.interval, sub["t"], n, base)
+        growth = math.log(z.value) / n if z.value > 0 else math.nan
+        rows.append((float(n), z.value, growth, float(z.in_base), float(z.skipped)))
+    run.files["zn.csv"] = (write_csv, ["n", "Z_n", "log_Zn_over_n", "points_in_base",
+                                       "skipped"], rows)
+    return {"t": sub["t"], "n_max": sub["n_max"], "base": _iv(base)}
+
+
+def _gurevich(sub: dict, run) -> dict:
+    ests = [gurevich_estimate(run.interval, float(t), sub["n_max"])
+            for t in sub["t_values"]]
+    rows = [(float(t), est.extrapolated, float(est.raw[-1]), est.spread,
+             float(est.skipped)) for t, est in zip(sub["t_values"], ests)]
+    run.files["gurevich.csv"] = (write_csv, ["t", "extrapolated", "raw_last", "spread",
+                                             "skipped"], rows)
+    payload = {"t_values": list(sub["t_values"]), "n_max": sub["n_max"]}
+    if len(sub["t_values"]) >= 6:
+        t_star, s_left, s_right = two_slope_kink(
+            sub["t_values"], [e.extrapolated for e in ests])
+        payload["kink"] = {"t": t_star, "left_slope": s_left, "right_slope": s_right}
+    return payload
+
+
+_RENEWAL_TASKS = {"pressure_curve": _renewal_curve, "classify": _classify,
+                  "transitions": _transitions, "atoms": _atoms, "witness": _witness}
+_ORBIT_TASKS = {"zn": _zn, "gurevich": _gurevich}
+# task name -> handler, per model kind (interval maps by their kind); a task
+# missing from a kind's table is not supported for that kind
+TASKS = {
+    "renewal": {**_RENEWAL_TASKS, "sequence_table": _sequence_table},
+    "finite_shift": {"pressure_curve": _finite_curve, "classify": _finite_classify},
+    CHEBYSHEV: {"pressure_curve": _chebyshev_curve, **_ORBIT_TASKS},
+    MANNEVILLE_POMEAU: {**_RENEWAL_TASKS, **_ORBIT_TASKS},
+    DOUBLING_GRID: {**_RENEWAL_TASKS, "sequence_table": _sequence_table, **_ORBIT_TASKS},
+}
+
+
+def _check_tasks(kind: str, task: dict) -> None:
+    """Reject unsupported tasks and reversed grids before anything is solved."""
+    for name, sub in task.items():
+        if name not in TASKS[kind]:
+            raise ValueError(f"task {name!r} is not supported for a {kind} model")
+        if name == "pressure_curve" and sub["t_min"] >= sub["t_max"]:
+            raise ValueError(f"pressure_curve needs t_min < t_max, got "
+                             f"{sub['t_min']} >= {sub['t_max']}")
+
+
+def _parse_subjects(config: dict, task: dict, run) -> None:
+    """Set on `run` what the tasks of the config's model kind run on."""
+    model = config["model"]
+    if model == "finite_shift":
+        run.shift, run.potential = _parse_finite(config["finite_shift"])
+    elif model == "renewal":
+        run.seq, run.renewal = _parse_renewal(config["renewal"])
+    else:
+        block = config["interval"]
+        run.interval = _parse_interval(block)
+        run.seq = run.interval.seq
+        if run.interval.kind != CHEBYSHEV and task.keys() & _RENEWAL_TASKS.keys():
+            # the first-return renewal model, resolved once for every renewal task
+            run.renewal = (mp_induced_model(run.interval.alpha, block.get("levels", 150))
+                           if run.interval.kind == MANNEVILLE_POMEAU
+                           else hofbauer_doubling_model(run.seq))
 
 
 def run_config(config: dict, outdir: str, root_tol: float | None = None,
                gnuplot: bool = False) -> dict:
     """Validate and execute a config; returns the report dict (also written)."""
     validate_config(config)
-    os.makedirs(outdir, exist_ok=True)
+    kind = config["interval"]["kind"] if config["model"] == "interval" else config["model"]
+    task = config.get("task", {})
+    _check_tasks(kind, task)
     threads = thread_count()
     tolerances = config.get("tolerances", {})
     rt = root_tol if root_tol is not None else tolerances.get("root_tol", 1e-10)
     st = tolerances.get("sum_tol", 1e-12)
-    task = config.get("task", {})
+    run = SimpleNamespace(root_tol=rt, sum_tol=st, gnuplot=gnuplot, files={}, warnings=[])
+    _parse_subjects(config, task, run)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    map_fn = pool.map if pool is not None else map
+    run.map_fn = pool.map if pool is not None else map
     try:
-        kind = config["model"]
-        if kind == "renewal":
-            seq, model = _parse_renewal(config["renewal"])
-            outputs, files, warnings = _run_renewal_tasks(
-                model, seq, task, outdir, rt, st, gnuplot, map_fn)
-        elif kind == "finite_shift":
-            shift, potential = _parse_finite(config["finite_shift"])
-            outputs, files, warnings = _run_finite_tasks(
-                shift, potential, task, outdir, rt, gnuplot)
-        else:
-            model = _parse_interval(config["interval"])
-            outputs, files, warnings = _run_interval_tasks(
-                model, config["interval"], task, outdir, rt, st, gnuplot, map_fn)
+        outputs = {name: handler(task[name], run)
+                   for name, handler in TASKS[kind].items() if name in task}
     finally:
         if pool is not None:
             pool.shutdown()
 
+    os.makedirs(outdir, exist_ok=True)
+    for name, (writer, *content) in run.files.items():
+        writer(os.path.join(outdir, name), *content)
     report = {
         "inputs": config,
         "outputs": outputs,
-        "files": sorted(set(files)),
-        "warnings": warnings,
+        "files": sorted(run.files),
+        "warnings": run.warnings,
         "tolerances": {"root_tol": rt, "sum_tol": st},
     }
     write_json(os.path.join(outdir, "report.json"), report)
@@ -422,19 +356,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="thermoform", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a JSON model config")
-    p_run.add_argument("config")
-    p_run.add_argument("-o", "--output", required=True)
-    p_run.add_argument("--tol", type=float, default=None,
-                       help="override the root tolerance")
-    p_run.add_argument("--gnuplot", action="store_true")
-
-    p_demo = sub.add_parser("demo", help="run a canned demo by name")
-    p_demo.add_argument("name")
-    p_demo.add_argument("-o", "--output", required=True)
-    p_demo.add_argument("--tol", type=float, default=None)
-    p_demo.add_argument("--gnuplot", action="store_true")
-
+    for command, target, text in (("run", "config", "run a JSON model config"),
+                                  ("demo", "name", "run a canned demo by name")):
+        p_cmd = sub.add_parser(command, help=text)
+        p_cmd.add_argument(target)
+        p_cmd.add_argument("-o", "--output", required=True)
+        p_cmd.add_argument("--tol", type=float, default=None,
+                           help="override the root tolerance")
+        p_cmd.add_argument("--gnuplot", action="store_true")
     sub.add_parser("list-demos", help="list canned demos and their configs")
 
     args = parser.parse_args(argv)
@@ -454,11 +383,9 @@ def main(argv=None) -> int:
         else:
             print(demo_registry.describe_demos())
             return EXIT_OK
-    except IndeterminateError as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    except ConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
+    except (IndeterminateError, ConvergenceError, ArithmeticError) as exc:
+        # ArithmeticError covers OverflowError and the pressure-curve checks
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (ValueError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -16,7 +16,9 @@ import math
 
 import numpy as np
 
-from .renewal import RenewalModel, TailEnvelope, renewal_zn
+from .renewal import (FIRST_ORDER, NON_UNIQUE, POSITIVE_RECURRENT, TRANSIENT,
+                      PressureCurve, RenewalModel, TailEnvelope, check_curve,
+                      renewal_zn)
 from .sequences import RealizedSequence, realize_model, HOFBAUER
 
 LOG2 = math.log(2.0)
@@ -27,6 +29,7 @@ DOUBLING_GRID = "doubling_grid"
 
 _BISECT_STEPS = 60
 MP_MAX_LEVELS = 2000
+MAX_PERIOD = 22  # periodic points and Z_n hold arrays of 2^n itineraries
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,6 @@ class IntervalMapModel:
             hi = np.where(too_low, hi, mid)
         return 0.5 * (lo + hi)
 
-    def branch_decreasing(self, branch: int) -> bool:
-        return self.kind == CHEBYSHEV and branch == 1
-
     @property
     def right_closed(self) -> bool:
         return self.kind == CHEBYSHEV
@@ -114,6 +114,25 @@ def doubling_grid_model(seq: RealizedSequence) -> IntervalMapModel:
 def chebyshev_pressure_exact(t: float) -> float:
     """max(-t log 4, (1-t) log 2): flat fixed-point branch vs acim branch."""
     return max(-t * math.log(4.0), (1.0 - t) * LOG2)
+
+
+def chebyshev_pressure_curve(t_grid) -> PressureCurve:
+    """The exact Chebyshev pressure across a grid, classified, with its kink.
+
+    Below t = -1 the fixed-point branch -t log 4 dominates and the acim
+    branch is transient; above it the acim branch (1-t) log 2 is positive
+    recurrent.  At t = -1 both carry equilibrium states: a first-order kink.
+    """
+    ts = np.asarray(list(t_grid), dtype=float)
+    ps = np.array([chebyshev_pressure_exact(float(t)) for t in ts])
+    check_curve(ts, ps)
+    at_kink, below = np.abs(ts + 1.0) < 1e-12, ts < -1.0
+    classes = [NON_UNIQUE if k else TRANSIENT if b else POSITIVE_RECURRENT
+               for k, b in zip(at_kink, below)]
+    ders = np.where(at_kink, math.nan, np.where(below, -math.log(4.0), -LOG2))
+    return PressureCurve(ts, ps, classes, ders, ["kink" if k else "analytic" for k in at_kink],
+                         np.full(len(ts), math.nan), np.zeros(len(ts)),
+                         [{"t": -1.0, "kind": "kink", "smoothness": FIRST_ORDER}], [])
 
 
 @dataclass(frozen=True)
@@ -149,7 +168,7 @@ def _bits(codes: np.ndarray, n: int, i: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def periodic_points(model: IntervalMapModel, n: int, n_max: int = 22) -> PeriodicPointSet:
+def periodic_points(model: IntervalMapModel, n: int, n_max: int = MAX_PERIOD) -> PeriodicPointSet:
     """One sample per admissible length-n itinerary, skips logged.
 
     Degenerate cells (no sign change for the n-fold composition, or roots
@@ -251,6 +270,8 @@ def zn_sum(model: IntervalMapModel, t: float, n: int,
     Weights are |Df^n|^(-t) for the smooth kinds and exp(t * S_n phi) for
     the coded doubling map.  The base is half-open [lo, hi).
     """
+    if not 1 <= n <= MAX_PERIOD:
+        raise ValueError(f"n must be in [1, {MAX_PERIOD}]")
     if base is None:
         base = (0.0, 1.0 + 1e-12)
     lo, hi = float(base[0]), float(base[1])
@@ -311,6 +332,8 @@ def two_slope_kink(ts, ps, n_left: int = 3, n_right: int = 3):
     ps = np.asarray(ps, dtype=float)
     if len(ts) < n_left + n_right:
         raise ValueError("not enough points for the two-slope fit")
+    if np.ptp(ts[:n_left]) == 0.0 or np.ptp(ts[-n_right:]) == 0.0:
+        raise ArithmeticError("an end of the t grid holds a single t value; no slope to fit")
     s1, c1 = np.polyfit(ts[:n_left], ps[:n_left], 1)
     s2, c2 = np.polyfit(ts[-n_right:], ps[-n_right:], 1)
     if abs(s1 - s2) < 1e-12:

@@ -168,7 +168,8 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
     while True:
         ns = np.arange(1, m + 1, dtype=np.int64)
         sv = model.s_table(m)
-        w = np.exp(model.log_mult(ns) + t * sv - ns * p)
+        with np.errstate(over="ignore"):  # an overflow shows as an inf partial sum
+            w = np.exp(model.log_mult(ns) + t * sv - ns * p)
         if s_weight:
             partial = float(np.sum(sv * w))
             fp_slack = 1e-14 * float(np.sum(np.abs(sv) * w)) + 1e-300
@@ -299,6 +300,7 @@ def solve_pressure(model: RenewalModel, t: float, tol: float = DEFAULT_ROOT_TOL,
 POSITIVE_RECURRENT = "positive-recurrent"
 NULL_RECURRENT = "null-recurrent"
 TRANSIENT = "transient"
+NON_UNIQUE = "non-unique-equilibrium"  # curve label where equilibria tie
 
 
 @dataclass(frozen=True)
@@ -615,7 +617,11 @@ def induced_equilibrium_weights(model: RenewalModel, t: float, n_levels: int = 6
 
 @dataclass(frozen=True)
 class PressureCurve:
-    """Pressure, classes and derivatives over a t grid, plus transitions."""
+    """Pressure, classes and derivatives over a t grid, plus transitions.
+
+    Every curve function of the package (renewal, finite shift, Chebyshev)
+    returns one.
+    """
 
     t: np.ndarray
     p: np.ndarray
@@ -632,6 +638,16 @@ class PressureCurve:
             yield (float(self.t[i]), float(self.p[i]), self.classes[i],
                    float(self.derivatives[i]), float(self.G_values[i]),
                    float(self.enclosure_widths[i]))
+
+
+def check_curve(ts: np.ndarray, ps: np.ndarray, floor: np.ndarray | None = None) -> None:
+    """Floor domination and convexity, which every solved pressure curve must show."""
+    if floor is not None and np.any(ps < floor - 1e-12):
+        raise ArithmeticError("solved pressure dipped below the floor")
+    if len(ts) >= 3:
+        worst = float(np.min(np.diff(np.diff(ps) / np.diff(ts))))
+        if worst < -1e-9:
+            raise ArithmeticError(f"pressure curve failed convexity check ({worst:.2e})")
 
 
 def _curve_point(model, t, root_tol, sum_tol):
@@ -663,14 +679,7 @@ def pressure_curve(model: RenewalModel, t_grid, root_tol: float = DEFAULT_ROOT_T
     gs = np.array([r[3] for r in results])
 
     warnings: list[str] = []
-    floor = np.array([model.bad_set_pressure(float(t)) for t in ts])
-    if np.any(p < floor - 1e-12):
-        raise ArithmeticError("solved pressure dipped below the floor")
-    if len(ts) >= 3:
-        slopes = np.diff(p) / np.diff(ts)
-        worst = float(np.min(np.diff(slopes))) if len(slopes) > 1 else 0.0
-        if worst < -1e-9:
-            raise ArithmeticError(f"pressure curve failed convexity check ({worst:.2e})")
+    check_curve(ts, p, np.array([model.bad_set_pressure(float(t)) for t in ts]))
 
     transitions: list[dict] = []
     if with_transitions and len(ts) >= 2:

@@ -17,8 +17,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, NotMixingError
-from .shifts import (FiniteShift, LocallyConstantPotential, Word,
-                     enumerate_admissible_words, is_admissible)
+from .renewal import NON_UNIQUE, POSITIVE_RECURRENT, PressureCurve, check_curve
+from .shifts import (FiniteShift, LocallyConstantPotential,
+                     enumerate_admissible_words, is_admissible,
+                     is_topologically_mixing)
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,6 @@ class RPFSolution:
     iterations: int
     matrix: TransferMatrix
 
-    def state_index(self, word: Word) -> int:
-        return self.matrix.index[tuple(word)]
-
 
 def _graph_period(adj: sp.csr_matrix) -> int:
     """Period (gcd of cycle lengths) of a strongly connected digraph."""
@@ -108,7 +107,6 @@ def _graph_period(adj: sp.csr_matrix) -> int:
     level = np.full(n, -1, dtype=np.int64)
     level[0] = 0
     frontier = [0]
-    order = [0]
     while frontier:
         nxt = []
         for u in frontier:
@@ -116,7 +114,6 @@ def _graph_period(adj: sp.csr_matrix) -> int:
                 if level[v] < 0:
                     level[v] = level[u] + 1
                     nxt.append(int(v))
-                    order.append(int(v))
         frontier = nxt
     g = 0
     coo = adj.tocoo()
@@ -222,35 +219,6 @@ def gibbs_constant_check(sol: RPFSolution, shift: FiniteShift,
     return worst
 
 
-def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotential,
-                          t_grid, tol: float = 1e-12):
-    """Pressure of t*potential on a mixing shift, with exact derivatives.
-
-    Returns (t_grid, pressures, derivatives); derivative at t is the
-    equilibrium average of the potential (analytic case).  Convexity of the
-    result is checked.
-    """
-    ts = np.asarray(list(t_grid), dtype=float)
-    ps = np.empty_like(ts)
-    ds = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        sol = solve_rpf(build_transfer_matrix(shift, potential.scaled(float(t))), tol=tol)
-        ps[i] = sol.pressure
-        phi = np.array([potential(w[:potential.depth]) for w in sol.matrix.states])
-        ds[i] = float(sol.mu @ phi)
-    _check_convexity(ts, ps)
-    return ts, ps, ds
-
-
-def _check_convexity(ts: np.ndarray, ps: np.ndarray, slack: float = 1e-9) -> None:
-    if len(ts) < 3:
-        return
-    slopes = np.diff(ps) / np.diff(ts)
-    if np.any(np.diff(slopes) < -slack):
-        worst = float(np.min(np.diff(slopes)))
-        raise ArithmeticError(f"pressure curve failed convexity check ({worst:.2e})")
-
-
 @dataclass(frozen=True)
 class ComponentSolution:
     symbols: list[int]  # original symbols of the component
@@ -269,28 +237,16 @@ class ComponentDecomposition:
         return len(self.maximizers) == 1
 
 
-def _perron_root(mat: sp.csr_matrix, tol: float, max_iter: int) -> float:
-    """Perron root of an irreducible nonnegative matrix (period allowed)."""
-    shifted = (mat + sp.identity(mat.shape[0], format="csr")).tocsr()
-    lam, _, _, _, _ = _power_iterate(shifted, tol, max_iter)
-    return lam - 1.0
-
-
-def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential | None = None,
-                         t: float = 1.0, tol: float = 1e-12,
-                         max_iter: int = 10 ** 6) -> ComponentDecomposition:
-    """Per-component Perron data; the total pressure is the component max.
-
-    Components are the strongly connected pieces carrying at least one cycle
-    (isolated wandering symbols are dropped).  Ties within 1e-9 are all
-    reported as maximizers, which is how non-uniqueness of the equilibrium
-    state shows up for non-mixing inputs.
+def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) -> list:
+    """The t-independent part of decompose_components: per strongly connected
+    component that carries a cycle, its symbols, its sub-shift (symbols
+    relabelled 0..k-1) and the potential relabelled onto it.
     """
-    if potential is None:
-        potential = LocallyConstantPotential.constant(shift, 0.0)
     adj = sp.csr_matrix(shift.dense()) if not shift.is_sparse else shift.transitions
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    comps: list[ComponentSolution] = []
+    if n_comp == 1:
+        return [(list(range(shift.alphabet_size)), shift, potential)]
+    comps = []
     for c in range(n_comp):
         symbols = [int(i) for i in np.nonzero(labels == c)[0]]
         sub = adj[np.ix_(symbols, symbols)]
@@ -298,40 +254,79 @@ def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential
             continue  # wandering symbol, no invariant mass
         sub_shift = FiniteShift(len(symbols), np.asarray(sub.todense()))
         relabel = {orig: new for new, orig in enumerate(symbols)}
-        vals = {}
-        for w, v in potential.scaled(t).values.items():
-            if all(s in relabel for s in w):
-                ww = tuple(relabel[s] for s in w)
-                if is_admissible(ww, sub_shift):
-                    vals[ww] = v
-        sub_pot = LocallyConstantPotential(potential.depth, vals, sub_shift)
-        tm = build_transfer_matrix(sub_shift, sub_pot)
+        vals = {tuple(relabel[s] for s in w): v for w, v in potential.values.items()
+                if all(s in relabel for s in w)}
+        vals = {w: v for w, v in vals.items() if is_admissible(w, sub_shift)}
+        comps.append((symbols, sub_shift,
+                      LocallyConstantPotential(potential.depth, vals, sub_shift)))
+    # nonempty: every symbol has a successor, so some component carries a cycle
+    comps.sort(key=lambda c: c[0][0])
+    return comps
+
+
+def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential,
+                         t: float = 1.0, tol: float = 1e-12, max_iter: int = 10 ** 6,
+                         components: list | None = None) -> ComponentDecomposition:
+    """Per-component Perron data of t*potential; the total pressure is the max.
+
+    Components are the strongly connected pieces carrying at least one cycle
+    (see cycle_components; pass its result as `components` to solve one shift
+    at many t without recomputing them).  Ties within 1e-9 are all reported as
+    maximizers, which is how non-uniqueness of the equilibrium state shows up
+    for non-mixing inputs.
+    """
+    if components is None:
+        components = cycle_components(shift, potential)
+    comps: list[ComponentSolution] = []
+    for symbols, sub_shift, sub_pot in components:
+        tm = build_transfer_matrix(sub_shift, sub_pot.scaled(t))
         try:
             sol = solve_rpf(tm, tol=tol, max_iter=max_iter)
             comps.append(ComponentSolution(symbols, sol.pressure, sol))
-        except NotMixingError:
-            root = _perron_root(tm.matrix, tol, max_iter)
-            comps.append(ComponentSolution(symbols, math.log(root), None))
-    if not comps:
-        raise ValueError("no component carries a cycle")
-    comps.sort(key=lambda c: c.symbols[0])
+        except NotMixingError:  # periodic: T + I is primitive, with Perron root 1 + root of T
+            shifted = (tm.matrix + sp.identity(tm.size, format="csr")).tocsr()
+            lam = _power_iterate(shifted, tol, max_iter)[0]
+            comps.append(ComponentSolution(symbols, math.log(lam - 1.0), None))
     pressures = np.array([c.pressure for c in comps])
     total = float(pressures.max())
     maximizers = [i for i, p in enumerate(pressures) if p >= total - 1e-9]
     return ComponentDecomposition(comps, total, maximizers)
 
 
-def component_pressure_curve(shift: FiniteShift, potential: LocallyConstantPotential,
-                             t_grid, tol: float = 1e-12):
-    """Max-of-components pressure across a t grid.
+def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotential,
+                          t_grid, tol: float = 1e-12) -> tuple[PressureCurve, bool]:
+    """Pressure of t*potential across a grid, and whether the shift is mixing.
 
-    Returns (ts, pressures, n_maximizers_per_t).
+    The pressure is the maximum over components (decompose_components); a
+    mixing shift is the single-component case with a primitive RPF solution.
+    Where several components tie for the maximum the equilibrium state is not
+    unique and Dp is undefined; otherwise Dp is the equilibrium average of the
+    potential on the maximizing component (nan for a periodic one).  The
+    enclosure width is the RPF residual on a mixing shift and 0 on a
+    component maximum.
     """
     ts = np.asarray(list(t_grid), dtype=float)
-    ps = np.empty_like(ts)
-    counts = np.empty(len(ts), dtype=int)
-    for i, t in enumerate(ts):
-        dec = decompose_components(shift, potential, t=float(t), tol=tol)
-        ps[i] = dec.pressure
-        counts[i] = len(dec.maximizers)
-    return ts, ps, counts
+    parts = cycle_components(shift, potential)
+    # a reducible shift is not mixing; for an irreducible one the Boolean scan
+    # settles aperiodicity, within Wielandt's bound (m-1)^2 + 1 on the exponent
+    mixing = len(parts) == 1 and bool(
+        is_topologically_mixing(shift, n_max=(shift.alphabet_size - 1) ** 2 + 1))
+    decs = [decompose_components(shift, potential, t=float(t), tol=tol, components=parts)
+            for t in ts]
+    ders, widths = np.full(len(ts), math.nan), np.zeros(len(ts))
+    for i, dec in enumerate(decs):
+        comp = dec.components[dec.maximizers[0]]
+        if dec.unique_maximizer and comp.solution is not None:
+            # states use component-local symbols; map back
+            phi = np.array([potential(tuple(comp.symbols[s] for s in w[:potential.depth]))
+                            for w in comp.solution.matrix.states])
+            ders[i] = float(comp.solution.mu @ phi)
+        if mixing:
+            widths[i] = comp.solution.residual
+    ps = np.array([dec.pressure for dec in decs])
+    check_curve(ts, ps)
+    unique = [dec.unique_maximizer for dec in decs]
+    warnings = [] if mixing else ["shift is not mixing; component maximum reported"]
+    return PressureCurve(ts, ps, [POSITIVE_RECURRENT if u else NON_UNIQUE for u in unique],
+                         ders, ["analytic" if u else "kink" for u in unique],
+                         np.ones(len(ts)), widths, [], warnings), mixing

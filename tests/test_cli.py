@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import thermoform
+from thermoform import RealizedSequence, sequence_table
 from thermoform.cli import main, run_config, thread_count, validate_config
 from thermoform.demos import demo_names, describe_demos, run_demo
 
@@ -66,6 +67,60 @@ def test_run_nonmixing_matches_formula(tmp_path):
     assert report["outputs"]["pressure_curve"]["mixing"] is False
 
 
+def finite_config(transitions, depth, values, t_min=-2.0, t_max=2.0, steps=9):
+    return {"model": "finite_shift",
+            "finite_shift": {"alphabet": len(transitions), "transitions": transitions,
+                             "potential": {"depth": depth, "values": values}},
+            "task": {"pressure_curve": {"t_min": t_min, "t_max": t_max, "steps": steps}}}
+
+
+def test_run_full_shift_matches_gibbs_formula(tmp_path):
+    v = np.array([-0.3, -1.1, 0.4])
+    cfg = finite_config([[1, 1, 1]] * 3, 1, {str(i): x for i, x in enumerate(v)})
+    report = run_config(cfg, str(tmp_path / "full3"))
+    _, rows = read_curve(tmp_path / "full3" / "curve.csv")
+    assert len(rows) == 9
+    for row in rows:
+        t = float(row[0])
+        w = np.exp(t * v)
+        assert abs(float(row[1]) - math.log(w.sum())) <= 1e-12
+        assert abs(float(row[3]) - float(w @ v / w.sum())) <= 1e-10
+        assert row[2] == "positive-recurrent"
+    assert report["outputs"]["pressure_curve"]["mixing"] is True
+    assert report["warnings"] == []
+
+
+def test_run_golden_mean_depth_two(tmp_path):
+    phi = {"0,0": -0.5, "0,1": -1.0, "1,0": 0.2}
+    cfg = finite_config([[1, 1], [1, 0]], 2, phi, t_min=-1.5, t_max=1.5, steps=7)
+    report = run_config(cfg, str(tmp_path / "gm"))
+
+    def p(t):  # log Perron root of [[e^{t phi00}, e^{t phi01}], [e^{t phi10}, 0]]
+        a, bc = math.exp(t * phi["0,0"]), math.exp(t * (phi["0,1"] + phi["1,0"]))
+        return math.log(0.5 * (a + math.sqrt(a * a + 4.0 * bc)))
+
+    _, rows = read_curve(tmp_path / "gm" / "curve.csv")
+    for row in rows:
+        t = float(row[0])
+        assert abs(float(row[1]) - p(t)) <= 1e-10
+        assert abs(float(row[3]) - (p(t + 1e-5) - p(t - 1e-5)) / 2e-5) <= 1e-6
+        assert row[2] == "positive-recurrent"
+    assert report["outputs"]["pressure_curve"]["mixing"] is True
+
+
+def test_chebyshev_demo_curve_and_kink(tmp_path):
+    out = tmp_path / "cheb"
+    run_demo("chebyshev", str(out))
+    _, rows = read_curve(out / "curve.csv")
+    for row in rows:
+        t = float(row[0])
+        want = ("transient" if t < -1.0 else "non-unique-equilibrium" if t == -1.0
+                else "positive-recurrent")
+        assert row[2] == want
+    trans = json.loads((out / "transitions.json").read_text())
+    assert trans["transitions"] == [{"t": -1.0, "kind": "kink", "smoothness": "first-order"}]
+
+
 def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -90,6 +145,56 @@ def test_mp_level_cap_exits_2_with_one_line(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and "2000" in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+def run_main(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["run", str(path), "-o", str(tmp_path / "out")])
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+GRID = {"family": "grid", "gamma": 3.0}
+DOUBLING = {"kind": "doubling_grid", "head_value": -1.4, "head_count": 3, "gamma": 3.0}
+
+
+@pytest.mark.parametrize("model, block, task", [
+    ("finite_shift", nonmixing_config()["finite_shift"], {"witness": {"t": 1.0}}),
+    ("finite_shift", nonmixing_config()["finite_shift"], {"zn": {"t": 1.0, "n_max": 4}}),
+    ("renewal", GRID, {"gurevich": {"t_values": [1.0], "n_max": 6}}),
+    ("interval", {"kind": "chebyshev"}, {"classify": {"t": 1.0}}),
+])
+def test_unsupported_task_exits_2_with_one_line(tmp_path, capsys, model, block, task):
+    cfg = {"model": model, model: block, "task": task}
+    code, lines = run_main(tmp_path, capsys, cfg)
+    assert code == 2 and len(lines) == 1
+    assert next(iter(task)) in lines[0] and "not supported" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_doubling_grid_sequence_table_runs_on_its_sequence(tmp_path, capsys):
+    cfg = {"model": "interval", "interval": DOUBLING, "task": {"sequence_table": {"n_max": 5}}}
+    code, _ = run_main(tmp_path, capsys, cfg)
+    assert code == 0
+    table = np.loadtxt(tmp_path / "out" / "sequence.csv", delimiter=",", skiprows=1)
+    seq = RealizedSequence((-1.4,) * 3, 3.0, 3)
+    assert np.array_equal(table, sequence_table(seq, 5))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["outputs"]["sequence_table"] == {"rows": 6}
+
+
+@pytest.mark.parametrize("cfg, code", [
+    ({"model": "interval", "interval": {"kind": "chebyshev"},
+      "task": {"gurevich": {"t_values": [0.5] * 6, "n_max": 6}}}, 3),
+    ({"model": "renewal", "renewal": {**GRID, "head": [0.0, 900.0]},
+      "task": {"classify": {"t": 1.0}}}, 3),
+    ({"model": "renewal", "renewal": GRID,
+      "task": {"pressure_curve": {"t_min": 2.0, "t_max": 0.5, "steps": 5}}}, 2),
+    ({"model": "interval", "interval": DOUBLING, "task": {"zn": {"t": 1.0, "n_max": 23}}}, 2),
+])
+def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
+    got, lines = run_main(tmp_path, capsys, cfg)
+    assert got == code and len(lines) == 1
 
 
 def test_demo_rerun_is_byte_identical(tmp_path):

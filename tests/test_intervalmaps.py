@@ -217,3 +217,11 @@ def test_gurevich_doubling_counts():
     interval = doubling_grid_model(seq)
     est = gurevich_estimate(interval, 0.0, 6)
     assert np.allclose(est.raw, LOG2, atol=1e-12)  # 2^n itineraries, zero potential
+
+
+def test_zn_sum_caps_the_period():
+    model = doubling_grid_model(RealizedSequence((-1.0,), 3.0, 1))
+    with pytest.raises(ValueError, match="22"):
+        zn_sum(model, 1.0, 23)
+    with pytest.raises(ValueError, match="22"):
+        zn_sum(chebyshev_model(), 1.0, 23)

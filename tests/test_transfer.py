@@ -5,7 +5,7 @@ import pytest
 
 from thermoform import (FiniteShift, LocallyConstantPotential, NotMixingError,
                         birkhoff_sum, build_transfer_matrix, cycle_shift,
-                        component_pressure_curve, cylinder_weight,
+                        cylinder_weight,
                         decompose_components, disjoint_union,
                         enumerate_periodic_words, full_shift,
                         gibbs_constant_check, golden_mean_shift,
@@ -146,20 +146,36 @@ def test_gibbs_constant_golden_mean_stable():
 def test_pressure_curve_finite_convex_and_exact():
     shift = full_shift(2)
     zero = LocallyConstantPotential.constant(shift, 0.0)
-    ts, ps, _ = pressure_curve_finite(shift, zero, np.linspace(-2, 2, 9))
+    curve, _ = pressure_curve_finite(shift, zero, np.linspace(-2, 2, 9))
+    ts, ps = curve.t, curve.p
     assert np.allclose(ps, math.log(2), atol=1e-12)
 
     shift, pot = bernoulli_setup(0.4)
-    ts, ps, ds = pressure_curve_finite(shift, pot, [1.0])
+    curve, _ = pressure_curve_finite(shift, pot, [1.0])
+    ts, ps, ds = curve.t, curve.p, curve.derivatives
     assert ps[0] == pytest.approx(0.0, abs=1e-10)
 
     gm = golden_mean_shift()
     gpot = LocallyConstantPotential.from_symbol_values(gm, [0.0, -1.0])
-    ts, ps, _ = pressure_curve_finite(gm, gpot, [0.0, 1.0])
+    curve, _ = pressure_curve_finite(gm, gpot, [0.0, 1.0])
+    ts, ps = curve.t, curve.p
     assert ps[0] == pytest.approx(math.log(GOLDEN), abs=1e-12)
     # Perron root of [[1, e^-1], [1, 0]] by the quadratic formula
     root = 0.5 * (1 + math.sqrt(1 + 4 * math.exp(-1)))
     assert ps[1] == pytest.approx(math.log(root), abs=1e-12)
+
+
+def test_pressure_curve_finite_mixing_is_the_direct_solve():
+    shift, pot = bernoulli_setup(0.35)
+    ts = [-1.0, 0.5, 2.0]
+    curve, mixing = pressure_curve_finite(shift, pot, ts)
+    assert mixing is True
+    for t, p, width in zip(ts, curve.p, curve.enclosure_widths):
+        sol = solve_rpf(build_transfer_matrix(shift, pot.scaled(t)))
+        assert p == sol.pressure and width == sol.residual
+    for other in (cycle_shift(2), disjoint_union(full_shift(2), full_shift(2))):
+        zero = LocallyConstantPotential.constant(other, 0.0)
+        assert pressure_curve_finite(other, zero, ts)[1] is False
 
 
 def nonmixing_setup():
@@ -171,7 +187,9 @@ def nonmixing_setup():
 def test_decompose_nonmixing_formula():
     both, psi = nonmixing_setup()
     ts = np.linspace(-2, 2, 11)
-    ts_out, ps, counts = component_pressure_curve(both, psi, ts)
+    curve, _ = pressure_curve_finite(both, psi, ts)
+    ts_out, ps = curve.t, curve.p
+    counts = np.array([1 + (c == "non-unique-equilibrium") for c in curve.classes])
     expected = np.maximum(-ts, -2 * ts) + math.log(2)
     assert np.allclose(ps, expected, atol=1e-10)
     assert counts[ts == 0.0] == 2
