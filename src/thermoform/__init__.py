@@ -27,7 +27,7 @@ from .renewal import (Derivative, FlatInterval, PressureCurve, PressureRoot,
                       RecurrenceClass, RenewalModel, SmoothnessVerdict,
                       TailEnvelope, WitnessReport, certified_G,
                       certified_series, classify, conformal_atom_masses,
-                      cyr_sarig_witness, finite_truncation,
+                      cyr_sarig_witness, finite_truncation, flat_transitions,
                       induced_equilibrium_weights, locate_flat_interval,
                       pressure_curve, pressure_derivative, renewal_zn,
                       smoothness_at_transition, solve_pressure,

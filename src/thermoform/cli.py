@@ -22,6 +22,7 @@ THERMOFORM_THREADS (integer >= 1) caps parallelism over curve grid points.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,8 +43,7 @@ from .intervalmaps import (CHEBYSHEV, DOUBLING_GRID, MANNEVILLE_POMEAU,
                            mp_induced_model, two_slope_kink, zn_sum)
 from .renewal import (NON_UNIQUE, POSITIVE_RECURRENT, classify,
                       conformal_atom_masses, cyr_sarig_witness,
-                      locate_flat_interval, pressure_curve,
-                      smoothness_at_transition)
+                      flat_transitions, pressure_curve)
 from .sequences import (RealizedSequence, SequenceSpec, from_spec,
                         realize_model, sequence_table)
 from .shifts import FiniteShift, LocallyConstantPotential
@@ -80,10 +80,24 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
-def validate_config(config: dict) -> None:
-    import jsonschema
+@functools.cache
+def _validator():
+    """One validator for the config schema, built after checking the schema once."""
+    from jsonschema.validators import validator_for
 
-    jsonschema.validate(config, load_schema())
+    schema = load_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_config(config: dict) -> None:
+    """Raise the best-matching jsonschema.ValidationError, as jsonschema.validate does."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(config))
+    if error is not None:
+        raise error
 
 
 def thread_count() -> int:
@@ -109,15 +123,7 @@ def _parse_finite(block: dict):
 
 
 def _parse_renewal(block: dict):
-    spec = SequenceSpec(
-        family=block["family"],
-        gamma=block.get("gamma"),
-        head=tuple(block.get("head", ())),
-        delta=block.get("delta"),
-        normalization_target=block.get("normalization_target"),
-        normalize=block.get("normalize", True),
-        leading_shift=block.get("leading_shift", 0.0),
-    )
+    spec = SequenceSpec(**block)  # the schema's renewal keys are its fields
     seq = from_spec(spec)
     return seq, realize_model(seq, spec.family)
 
@@ -205,22 +211,16 @@ def _finite_classify(sub: dict, run) -> dict:
 
 
 def _transitions(sub: dict, run) -> dict:
-    model, sum_tol = run.renewal, run.sum_tol
-    flat = locate_flat_interval(model, tuple(sub["bracket"]),
-                                tol=max(run.root_tol, 1e-9), sum_tol=sum_tol)
-    if flat is None:
+    found = flat_transitions(run.renewal, tuple(sub["bracket"]),
+                             tol=max(run.root_tol, 1e-9), sum_tol=run.sum_tol)
+    if not found:
         return {"flat_interval": None}
-    entry = {
-        "t_start": flat.t_start,
-        "start_bracket": _iv(flat.start_bracket),
-        "t_end": None if flat.unbounded else flat.t_end,
-        "end_bracket": None if flat.end_bracket is None else _iv(flat.end_bracket),
-        "smoothness_start": smoothness_at_transition(model, flat.t_start,
-                                                     sum_tol=sum_tol).kind,
-    }
-    if not flat.unbounded:
-        entry["smoothness_end"] = smoothness_at_transition(
-            model, flat.t_end, sum_tol=sum_tol).kind
+    start, *end = found
+    entry = {"t_start": start["t"], "start_bracket": _iv(start["bracket"]),
+             "smoothness_start": start["smoothness"], "t_end": None, "end_bracket": None}
+    if end:
+        entry.update(t_end=end[0]["t"], end_bracket=_iv(end[0]["bracket"]),
+                     smoothness_end=end[0]["smoothness"])
     return {"flat_interval": entry}
 
 

@@ -173,16 +173,16 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
         if s_weight:
             partial = float(np.sum(sv * w))
             fp_slack = 1e-14 * float(np.sum(np.abs(sv) * w)) + 1e-300
-            t0 = _weight_tail(a_w, rho, m + 1, c_lo, c_up)
-            t1 = _weight_tail(a_w + 1.0, rho, m + 1, c_lo, c_up)
-            tl = _weight_log_tail(a_w, rho, m + 1, c_lo, c_up)
+            t0 = _weight_tail(tail_power_exp, a_w, rho, m + 1, c_lo, c_up)
+            t1 = _weight_tail(tail_power_exp, a_w + 1.0, rho, m + 1, c_lo, c_up)
+            tl = _weight_tail(tail_log_power_exp, a_w, rho, m + 1, c_lo, c_up)
             tail = iv_add(iv_add(iv_scale(e.slope, t1), iv_scale(e.offset, t0)),
                           iv_scale(-e.log_coeff, tl))
             tail = iv_add(tail, (-e.eps * t0[1], e.eps * t0[1]))
         else:
             partial = float(np.sum(ns ** n_weight * w))
             fp_slack = 1e-14 * partial + 1e-300
-            tail = _weight_tail(a_w + n_weight, rho, m + 1, c_lo, c_up)
+            tail = _weight_tail(tail_power_exp, a_w + n_weight, rho, m + 1, c_lo, c_up)
         lower = partial + tail[0] - fp_slack
         upper = partial + tail[1] + fp_slack
         width = upper - lower
@@ -192,13 +192,8 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
         m *= 2
 
 
-def _weight_tail(a: float, rho: float, m_from: int, c_lo: float, c_up: float):
-    lo, hi = tail_power_exp(a, rho, m_from)
-    return (math.exp(c_lo) * lo, math.exp(c_up) * hi)
-
-
-def _weight_log_tail(a: float, rho: float, m_from: int, c_lo: float, c_up: float):
-    lo, hi = tail_log_power_exp(a, rho, m_from)
+def _weight_tail(tail, a: float, rho: float, m_from: int, c_lo: float, c_up: float):
+    lo, hi = tail(a, rho, m_from)
     return (math.exp(c_lo) * lo, math.exp(c_up) * hi)
 
 
@@ -272,25 +267,17 @@ def solve_pressure(model: RenewalModel, t: float, tol: float = DEFAULT_ROOT_TOL,
         mid = 0.5 * (lo + hi)
         g_mid = certified_G(model, t, mid, tol=sum_tol)
         side = _g_side(g_mid, boundary_tol)
+        if side == "wide":
+            g_mid = certified_G(model, t, mid, tol=sum_tol / 16.0)
+            side = _g_side(g_mid, boundary_tol)
         if side == "above":
             lo = mid
         elif side == "below":
             hi = mid
-        elif side == "boundary":
+        else:  # boundary, or still wide at the tighter tolerance
             lo = max(lo, mid - 0.25 * tol)
             hi = min(hi, mid + 0.25 * tol)
             break
-        else:
-            g_mid = certified_G(model, t, mid, tol=sum_tol / 16.0)
-            side = _g_side(g_mid, boundary_tol)
-            if side == "above":
-                lo = mid
-            elif side == "below":
-                hi = mid
-            else:
-                lo = max(lo, mid - 0.25 * tol)
-                hi = min(hi, mid + 0.25 * tol)
-                break
         iterations += 1
     p = 0.5 * (lo + hi)
     return PressureRoot(t, p, lo, hi, False, certified_G(model, t, p, tol=sum_tol),
@@ -337,41 +324,42 @@ class Derivative:
     kind: str  # analytic | one-sided | zero-limit | flat
     value: float
     enclosure: tuple[float, float]
-    tau_mean: CertifiedSum | None
+    recurrence: RecurrenceClass  # the class the derivative's branch was read from
 
     def __float__(self) -> float:
         return self.value
 
 
-def _ratio_at(model: RenewalModel, t: float, p: float, sum_tol: float):
+def _slope(model: RenewalModel, t: float, p: float, h: CertifiedSum, sum_tol: float):
+    """Enclosure of (sum s_n w_n) / H at (t, p), given the enclosure h of H there."""
     num = certified_series(model, t, p, s_weight=True, tol=sum_tol)
-    den = certified_series(model, t, p, n_weight=1, tol=sum_tol)
-    return iv_div_pos((num.lower, num.upper), (den.lower, den.upper)), den
+    return iv_div_pos((num.lower, num.upper), (h.lower, h.upper))
 
 
 def pressure_derivative(model: RenewalModel, t: float, root: PressureRoot | None = None,
                         sum_tol: float = DEFAULT_SUM_TOL) -> Derivative:
     """dp/dt via the induced weights w_n = m_n exp(t s_n - n p).
 
-    On the analytic branch this is (sum s_n w_n) / (sum n w_n) exactly; in
-    flat interior it is 0; at a recurrent floor point it is the one-sided
-    slope, or a zero-limit flag when the return time diverges (the C^1 case).
+    The branch is read off the recurrence class at t.  On the analytic branch
+    this is (sum s_n w_n) / (sum n w_n) exactly; in flat interior (transient)
+    it is 0; at a recurrent floor point it is the one-sided slope, or a
+    zero-limit flag when the return time diverges (the C^1 case).
     """
-    if root is None:
-        root = solve_pressure(model, t, sum_tol=sum_tol)
+    cls = classify(model, t, root=root, sum_tol=sum_tol)
+    root, h = cls.root, cls.H
+    if cls.kind == TRANSIENT:
+        return Derivative("flat", 0.0, (0.0, 0.0), cls)
     if root.at_floor:
-        if root.G.upper < 1.0:
-            return Derivative("flat", 0.0, (0.0, 0.0), None)
-        h = certified_series(model, t, root.pressure, n_weight=1, tol=sum_tol)
         if h.divergent:
-            return Derivative("zero-limit", 0.0, (0.0, 0.0), h)
-        ratio, h = _ratio_at(model, t, root.pressure, sum_tol)
-        return Derivative("one-sided", 0.5 * (ratio[0] + ratio[1]), ratio, h)
-    r_mid, h = _ratio_at(model, t, root.pressure, sum_tol)
-    r_hi, _ = _ratio_at(model, t, root.hi, sum_tol)
+            return Derivative("zero-limit", 0.0, (0.0, 0.0), cls)
+        ratio = _slope(model, t, root.pressure, h, sum_tol)
+        return Derivative("one-sided", 0.5 * (ratio[0] + ratio[1]), ratio, cls)
+    r_mid = _slope(model, t, root.pressure, h, sum_tol)
+    h_hi = certified_series(model, t, root.hi, n_weight=1, tol=sum_tol)
+    r_hi = _slope(model, t, root.hi, h_hi, sum_tol)
     pad = abs(0.5 * (r_hi[0] + r_hi[1]) - 0.5 * (r_mid[0] + r_mid[1]))
     enclosure = (min(r_mid[0], r_hi[0]) - pad, max(r_mid[1], r_hi[1]) + pad)
-    return Derivative("analytic", 0.5 * (enclosure[0] + enclosure[1]), enclosure, h)
+    return Derivative("analytic", 0.5 * (enclosure[0] + enclosure[1]), enclosure, cls)
 
 
 @dataclass(frozen=True)
@@ -488,8 +476,26 @@ def smoothness_at_transition(model: RenewalModel, t_star: float,
     h = certified_series(model, t_star, p, n_weight=1, tol=sum_tol)
     if h.divergent:
         return SmoothnessVerdict(C1, h, None)
-    ratio, _ = _ratio_at(model, t_star, p, sum_tol)
-    return SmoothnessVerdict(FIRST_ORDER, h, ratio)
+    return SmoothnessVerdict(FIRST_ORDER, h, _slope(model, t_star, p, h, sum_tol))
+
+
+def flat_transitions(model: RenewalModel, bracket: tuple[float, float],
+                     tol: float = 1e-8, sum_tol: float = DEFAULT_SUM_TOL) -> list[dict]:
+    """The flat interval's boundaries inside the bracket, each with its smoothness.
+
+    Entries (t, kind, bracket, smoothness): an "onset-of-flat" entry when a
+    flat interval exists, then an "end-of-flat" entry when it ends inside
+    the bracket.
+    """
+    flat = locate_flat_interval(model, bracket, tol=tol, sum_tol=sum_tol)
+    if flat is None:
+        return []
+    ends = [("onset-of-flat", flat.t_start, flat.start_bracket)]
+    if not flat.unbounded:
+        ends.append(("end-of-flat", flat.t_end, flat.end_bracket))
+    return [{"t": t, "kind": kind, "bracket": br,
+             "smoothness": smoothness_at_transition(model, t, sum_tol=sum_tol).kind}
+            for kind, t, br in ends]
 
 
 @dataclass(frozen=True)
@@ -650,17 +656,13 @@ def check_curve(ts: np.ndarray, ps: np.ndarray, floor: np.ndarray | None = None)
             raise ArithmeticError(f"pressure curve failed convexity check ({worst:.2e})")
 
 
-def _curve_point(model, t, root_tol, sum_tol):
+def _curve_point(model, t, root_tol, sum_tol) -> Derivative:
     root = solve_pressure(model, t, tol=root_tol, sum_tol=sum_tol)
-    cls = classify(model, t, root=root, sum_tol=sum_tol)
-    der = pressure_derivative(model, t, root=root, sum_tol=sum_tol)
-    g = root.G.midpoint if not root.G.divergent else INF
-    return root, cls, der, g
+    return pressure_derivative(model, t, root=root, sum_tol=sum_tol)
 
 
 def pressure_curve(model: RenewalModel, t_grid, root_tol: float = DEFAULT_ROOT_TOL,
-                   sum_tol: float = DEFAULT_SUM_TOL, with_transitions: bool = True,
-                   map_fn=map) -> PressureCurve:
+                   sum_tol: float = DEFAULT_SUM_TOL, map_fn=map) -> PressureCurve:
     """Solve, classify and differentiate across a grid; locate transitions.
 
     `map_fn` may be a thread pool's map; points are independent and results
@@ -670,41 +672,29 @@ def pressure_curve(model: RenewalModel, t_grid, root_tol: float = DEFAULT_ROOT_T
     ts = np.asarray(list(t_grid), dtype=float)
     if len(ts) < 1:
         raise ValueError("empty t grid")
-    results = list(map_fn(lambda t: _curve_point(model, float(t), root_tol, sum_tol), ts))
-    p = np.array([r[0].pressure for r in results])
-    widths = np.array([r[0].width for r in results])
-    classes = [r[1].kind for r in results]
-    ders = np.array([r[2].value for r in results])
-    der_kinds = [r[2].kind for r in results]
-    gs = np.array([r[3] for r in results])
-
-    warnings: list[str] = []
+    ders = list(map_fn(lambda t: _curve_point(model, float(t), root_tol, sum_tol), ts))
+    roots = [d.recurrence.root for d in ders]
+    p = np.array([r.pressure for r in roots])
+    widths = np.array([r.width for r in roots])
+    gs = np.array([r.G.midpoint if not r.G.divergent else INF for r in roots])
+    classes = [d.recurrence.kind for d in ders]
     check_curve(ts, p, np.array([model.bad_set_pressure(float(t)) for t in ts]))
 
     transitions: list[dict] = []
-    if with_transitions and len(ts) >= 2:
-        flat = locate_flat_interval(model, (float(ts[0]), float(ts[-1])),
-                                    tol=max(root_tol, 1e-9), sum_tol=sum_tol)
-        if flat is not None:
-            v_start = smoothness_at_transition(model, flat.t_start, sum_tol=sum_tol)
-            transitions.append({"t": flat.t_start, "kind": "onset-of-flat",
-                                "smoothness": v_start.kind,
-                                "bracket": flat.start_bracket})
-            if not flat.unbounded:
-                v_end = smoothness_at_transition(model, flat.t_end, sum_tol=sum_tol)
-                transitions.append({"t": flat.t_end, "kind": "end-of-flat",
-                                    "smoothness": v_end.kind,
-                                    "bracket": flat.end_bracket})
-                if v_start.kind == FIRST_ORDER and v_end.kind == C1:
-                    warnings.append(
-                        "endpoint smoothness violates the finite-return-time "
-                        "monotonicity; numerical inconsistency")
-                elif v_start.kind != v_end.kind:
-                    warnings.append(
-                        "flat-interval endpoints have different smoothness "
-                        f"({v_start.kind} at onset, {v_end.kind} at end)")
-    return PressureCurve(ts, p, classes, ders, der_kinds, gs, widths,
-                         transitions, warnings)
+    warnings: list[str] = []
+    if len(ts) >= 2:
+        transitions = flat_transitions(model, (float(ts[0]), float(ts[-1])),
+                                       tol=max(root_tol, 1e-9), sum_tol=sum_tol)
+    if len(transitions) == 2:
+        start, end = (tr["smoothness"] for tr in transitions)
+        if start == FIRST_ORDER and end == C1:
+            warnings.append("endpoint smoothness violates the finite-return-time "
+                            "monotonicity; numerical inconsistency")
+        elif start != end:
+            warnings.append("flat-interval endpoints have different smoothness "
+                            f"({start} at onset, {end} at end)")
+    return PressureCurve(ts, p, classes, np.array([d.value for d in ders]),
+                         [d.kind for d in ders], gs, widths, transitions, warnings)
 
 
 def renewal_zn(model: RenewalModel, t: float, n_max: int) -> np.ndarray:

@@ -266,3 +266,43 @@ def test_console_entry_point(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "grid-dfu" in proc.stdout
+
+
+@pytest.mark.parametrize("renewal", [{"family": "grid", "gamma": 3.0, "delta": 0.2},
+                                     {"family": "grid", "gamma": 3.0}])
+def test_curve_transitions_match_transitions_task(tmp_path, renewal):
+    # the curve's transitions.json and the transitions task report the same
+    # flat interval when they search the same range
+    cfg = {"model": "renewal", "renewal": renewal,
+           "task": {"pressure_curve": {"t_min": 0.25, "t_max": 4.5, "steps": 6},
+                    "transitions": {"bracket": [0.25, 4.5]}}}
+    report = run_config(cfg, str(tmp_path))
+    curve = json.loads((tmp_path / "transitions.json").read_text())["transitions"]
+    flat = report["outputs"]["transitions"]["flat_interval"]
+    assert curve[0]["kind"] == "onset-of-flat"
+    assert (curve[0]["t"], list(curve[0]["bracket"]), curve[0]["smoothness"]) == (
+        flat["t_start"], flat["start_bracket"], flat["smoothness_start"])
+    if flat["t_end"] is None:
+        assert len(curve) == 1 and flat["end_bracket"] is None
+        assert "smoothness_end" not in flat
+    else:
+        assert len(curve) == 2 and curve[1]["kind"] == "end-of-flat"
+        assert (curve[1]["t"], list(curve[1]["bracket"]), curve[1]["smoothness"]) == (
+            flat["t_end"], flat["end_bracket"], flat["smoothness_end"])
+
+
+def test_validate_config_checks_the_schema_once(monkeypatch):
+    from jsonschema.validators import validator_for
+    from thermoform.cli import load_schema
+
+    cls = validator_for(load_schema())
+    check_schema, checks = cls.check_schema, []
+
+    def counting(schema, *args, **kwargs):
+        checks.append(1)
+        return check_schema(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", counting)
+    for _ in range(3):
+        validate_config(nonmixing_config())
+    assert len(checks) <= 1

@@ -367,3 +367,45 @@ def test_pressure_curve_threads_match_serial():
     assert threaded.classes == serial.classes
     assert threaded.derivative_kinds == serial.derivative_kinds
     assert threaded.transitions == serial.transitions
+
+
+def count_H(monkeypatch):
+    """Count evaluations of H (n_weight=1) per (t, p) made through the module."""
+    import thermoform.renewal as rn
+
+    counts = {}
+    series = rn.certified_series
+
+    def counting(model, t, p, **kwargs):
+        if kwargs.get("n_weight", 0) == 1:
+            counts[(t, p)] = counts.get((t, p), 0) + 1
+        return series(model, t, p, **kwargs)
+
+    monkeypatch.setattr(rn, "certified_series", counting)
+    return counts
+
+
+def test_H_evaluated_once_per_point(monkeypatch):
+    counts = count_H(monkeypatch)
+    # a recurrent floor point: the normalization pins G(1, log 2) = 1
+    d = pressure_derivative(normalized_grid_model(3.0), 1.0)
+    assert d.kind == "one-sided" and max(counts.values()) == 1
+    assert d.recurrence.kind == POSITIVE_RECURRENT and d.recurrence.root.at_floor
+
+    counts.clear()  # an off-floor point
+    d = pressure_derivative(geometric_model(1.0), 0.3)
+    assert d.kind == "analytic" and max(counts.values()) == 1
+    assert not d.recurrence.root.at_floor
+
+    counts.clear()  # a first-order flat boundary
+    v = smoothness_at_transition(geometric_model(1.0, grid=True), LOG3 - LOG2)
+    assert v.kind == FIRST_ORDER and list(counts.values()) == [1]
+
+    counts.clear()  # every grid point of a DFU curve, on and off the floor
+    dfu = sq.realize_model(sq.dfu_perturb(
+        sq.normalize(sq.build_tail(3.0, 1), 2.0), 0.2), sq.GRID)
+    curve = pressure_curve(dfu, np.linspace(0.25, 4.5, 6))
+    assert {TRANSIENT, POSITIVE_RECURRENT} <= set(curve.classes)
+    assert max(counts.values()) == 1
+    for t, p in zip(curve.t, curve.p):
+        assert counts.get((float(t), float(p)), 0) <= 1
