@@ -8,9 +8,10 @@ writes the files.  The model logic lives in the library.
 Outputs are deterministic: fixed column order, 17-significant-digit floats,
 LF line endings, sorted JSON keys, and no timestamps inside data files
 (timing goes to stderr).  Exit codes: 0 success; 2 validation error,
-including a task the model kind does not support and t_min >= t_max;
-3 numerical failure (indeterminacy, no convergence, overflow or another
-ArithmeticError).  Each failure prints one line to stderr.
+including a task the model kind does not support, t_min >= t_max and a root
+tolerance outside (0, 1e-6]; 3 numerical failure (indeterminacy, no
+convergence, overflow or another ArithmeticError).  Each failure prints one
+line to stderr.
 
     thermoform run <config.json> -o <dir> [--tol <x>] [--gnuplot]
     thermoform demo <name> -o <dir> [--tol <x>]
@@ -41,9 +42,9 @@ from .intervalmaps import (CHEBYSHEV, DOUBLING_GRID, MANNEVILLE_POMEAU,
                            doubling_grid_model, gurevich_estimate,
                            hofbauer_doubling_model, manneville_pomeau_model,
                            mp_induced_model, two_slope_kink, zn_sum)
-from .renewal import (NON_UNIQUE, POSITIVE_RECURRENT, classify,
+from .renewal import (NON_UNIQUE, ONSET_OF_FLAT, POSITIVE_RECURRENT, classify,
                       conformal_atom_masses, cyr_sarig_witness,
-                      flat_transitions, pressure_curve)
+                      flat_transitions, pressure_curve, solve_pressure)
 from .sequences import (RealizedSequence, SequenceSpec, from_spec,
                         realize_model, sequence_table)
 from .shifts import FiniteShift, LocallyConstantPotential
@@ -196,7 +197,8 @@ def _chebyshev_curve(sub: dict, run) -> dict:
 
 def _classify(sub: dict, run) -> dict:
     t = sub["t"]
-    cls = classify(run.renewal, t, sum_tol=run.sum_tol)
+    root = solve_pressure(run.renewal, t, tol=run.root_tol, sum_tol=run.sum_tol)
+    cls = classify(run.renewal, t, root=root, sum_tol=run.sum_tol)
     return {"t": t, "class": cls.kind, "pressure": cls.root.pressure,
             "G": _sum_payload(cls.G),
             "H": _sum_payload(cls.H) if cls.H is not None else None}
@@ -213,14 +215,14 @@ def _finite_classify(sub: dict, run) -> dict:
 def _transitions(sub: dict, run) -> dict:
     found = flat_transitions(run.renewal, tuple(sub["bracket"]),
                              tol=max(run.root_tol, 1e-9), sum_tol=run.sum_tol)
-    if not found:
+    if found is None:
         return {"flat_interval": None}
-    start, *end = found
-    entry = {"t_start": start["t"], "start_bracket": _iv(start["bracket"]),
-             "smoothness_start": start["smoothness"], "t_end": None, "end_bracket": None}
-    if end:
-        entry.update(t_end=end[0]["t"], end_bracket=_iv(end[0]["bracket"]),
-                     smoothness_end=end[0]["smoothness"])
+    # a side the flat set runs past stays null and has no smoothness
+    entry = {"t_start": None, "start_bracket": None, "t_end": None, "end_bracket": None}
+    for tr in found:
+        side = "start" if tr["kind"] == ONSET_OF_FLAT else "end"
+        entry.update({f"t_{side}": tr["t"], f"{side}_bracket": _iv(tr["bracket"]),
+                      f"smoothness_{side}": tr["smoothness"]})
     return {"flat_interval": entry}
 
 
@@ -287,6 +289,14 @@ TASKS = {
 }
 
 
+def _check_root_tol(rt: float) -> float:
+    """The root tolerance, from --tol or the config, held to the schema's bounds."""
+    top = _validator().schema["properties"]["tolerances"]["properties"]["root_tol"]["maximum"]
+    if not 0.0 < rt <= top:  # false for nan too, which the schema lets through
+        raise ValueError(f"root_tol must be finite, > 0 and <= {top:g}; got {rt}")
+    return rt
+
+
 def _check_tasks(kind: str, task: dict) -> None:
     """Reject unsupported tasks and reversed grids before anything is solved."""
     for name, sub in task.items():
@@ -324,7 +334,8 @@ def run_config(config: dict, outdir: str, root_tol: float | None = None,
     _check_tasks(kind, task)
     threads = thread_count()
     tolerances = config.get("tolerances", {})
-    rt = root_tol if root_tol is not None else tolerances.get("root_tol", 1e-10)
+    rt = _check_root_tol(root_tol if root_tol is not None
+                         else tolerances.get("root_tol", 1e-10))
     st = tolerances.get("sum_tol", 1e-12)
     run = SimpleNamespace(root_tol=rt, sum_tol=st, gnuplot=gnuplot, files={}, warnings=[])
     _parse_subjects(config, task, run)
@@ -362,7 +373,7 @@ def main(argv=None) -> int:
         p_cmd.add_argument(target)
         p_cmd.add_argument("-o", "--output", required=True)
         p_cmd.add_argument("--tol", type=float, default=None,
-                           help="override the root tolerance")
+                           help="override the root tolerance (0 < tol <= 1e-6)")
         p_cmd.add_argument("--gnuplot", action="store_true")
     sub.add_parser("list-demos", help="list canned demos and their configs")
 

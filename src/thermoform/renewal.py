@@ -153,17 +153,16 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
     c_up = model.mult_offset + t * e.offset + abs(t) * e.eps
     c_lo = model.mult_offset + t * e.offset - abs(t) * e.eps
 
-    if not s_weight:
-        a_tail = a_w + n_weight
-        if rho > 0 or (rho == 0.0 and a_tail >= -1.0):
-            ns = np.arange(1, 65, dtype=np.int64)
-            logw = model.log_mult(ns) + t * s_head[:64] - ns * p
-            partial = float(np.sum(ns ** n_weight * np.exp(np.minimum(logw, 690.0))))
-            return CertifiedSum(partial, INF, 64, "divergent")
-    else:
-        # callers establish convergence of sum n*w before asking for sum s*w
-        if rho > 0 or (rho == 0.0 and a_w + 1.0 >= -1.0):
+    # exponent of the heaviest tail term: n^n_weight * w, or for s*w the
+    # envelope's slope*n*w (log(n)*w, one order lighter, when the slope is 0)
+    a_top = a_w + (float(e.slope != 0.0) if s_weight else n_weight)
+    if rho > 0 or (rho == 0.0 and a_top >= -1.0):
+        if s_weight:  # callers establish convergence before asking for sum s*w
             raise ValueError("s-weighted series requested in a divergent regime")
+        ns = np.arange(1, 65, dtype=np.int64)
+        logw = model.log_mult(ns) + t * s_head[:64] - ns * p
+        partial = float(np.sum(ns ** n_weight * np.exp(np.minimum(logw, 690.0))))
+        return CertifiedSum(partial, INF, 64, "divergent")
 
     while True:
         ns = np.arange(1, m + 1, dtype=np.int64)
@@ -174,10 +173,12 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
             partial = float(np.sum(sv * w))
             fp_slack = 1e-14 * float(np.sum(np.abs(sv) * w)) + 1e-300
             t0 = _weight_tail(tail_power_exp, a_w, rho, m + 1, c_lo, c_up)
-            t1 = _weight_tail(tail_power_exp, a_w + 1.0, rho, m + 1, c_lo, c_up)
             tl = _weight_tail(tail_log_power_exp, a_w, rho, m + 1, c_lo, c_up)
-            tail = iv_add(iv_add(iv_scale(e.slope, t1), iv_scale(e.offset, t0)),
-                          iv_scale(-e.log_coeff, tl))
+            tail = iv_scale(e.offset, t0)
+            if e.slope != 0.0:
+                t1 = _weight_tail(tail_power_exp, a_w + 1.0, rho, m + 1, c_lo, c_up)
+                tail = iv_add(iv_scale(e.slope, t1), tail)
+            tail = iv_add(tail, iv_scale(-e.log_coeff, tl))
             tail = iv_add(tail, (-e.eps * t0[1], e.eps * t0[1]))
         else:
             partial = float(np.sum(ns ** n_weight * w))
@@ -217,6 +218,11 @@ class PressureRoot:
     def width(self) -> float:
         return self.hi - self.lo
 
+    @property
+    def transient(self) -> bool:
+        """G certified below 1 at the floor: the first-return weights leak mass."""
+        return self.at_floor and self.G.upper < 1.0
+
 
 def _g_side(g: CertifiedSum, boundary_tol: float) -> str:
     """'above' / 'below' / 'boundary' of G relative to 1."""
@@ -229,6 +235,21 @@ def _g_side(g: CertifiedSum, boundary_tol: float) -> str:
     return "wide"
 
 
+def _on_floor(model: RenewalModel, t: float, sum_tol: float) -> tuple[bool, CertifiedSum]:
+    """Whether the pressure at t is the floor p_B(t), with the G(t, p_B) read there.
+
+    On the floor means G(t, p_B) certified below 1 or pinned to 1 within the
+    boundary tolerance; an enclosure straddling 1 more widely is indeterminate.
+    """
+    g = certified_G(model, t, model.bad_set_pressure(t), tol=sum_tol)
+    side = _g_side(g, max(8.0 * sum_tol, 1e-12))
+    if side == "wide":
+        raise IndeterminateError(
+            f"G(t={t}, p_B) = [{g.lower}, {g.upper}] straddles 1 "
+            "with width above tolerance; tighten sum_tol")
+    return side != "above", g
+
+
 def solve_pressure(model: RenewalModel, t: float, tol: float = DEFAULT_ROOT_TOL,
                    sum_tol: float = DEFAULT_SUM_TOL) -> PressureRoot:
     """Pressure of t*phi: the floor p_B(t), or the root of G(t, .) = 1 above it.
@@ -238,16 +259,11 @@ def solve_pressure(model: RenewalModel, t: float, tol: float = DEFAULT_ROOT_TOL,
     G enclosure itself pins the root).
     """
     p_floor = model.bad_set_pressure(t)
-    boundary_tol = max(8.0 * sum_tol, 1e-12)
-    g_floor = certified_G(model, t, p_floor, tol=sum_tol)
-    side = _g_side(g_floor, boundary_tol)
-    if side in ("below", "boundary"):
+    at_floor, g_floor = _on_floor(model, t, sum_tol)
+    if at_floor:
         return PressureRoot(t, p_floor, p_floor, p_floor, True, g_floor)
-    if side == "wide":
-        raise IndeterminateError(
-            f"G(t={t}, p_B) = [{g_floor.lower}, {g_floor.upper}] straddles 1 "
-            "with width above tolerance; tighten sum_tol")
 
+    boundary_tol = max(8.0 * sum_tol, 1e-12)
     step = max(1.0, abs(p_floor))
     hi = p_floor + step
     g_hi = certified_G(model, t, hi, tol=sum_tol)
@@ -311,12 +327,11 @@ def classify(model: RenewalModel, t: float, root: PressureRoot | None = None,
     """
     if root is None:
         root = solve_pressure(model, t, sum_tol=sum_tol)
-    g = root.G
-    if root.at_floor and g.upper < 1.0:
-        return RecurrenceClass(TRANSIENT, g, None, root)
+    if root.transient:
+        return RecurrenceClass(TRANSIENT, root.G, None, root)
     h = certified_series(model, t, root.pressure, n_weight=1, tol=sum_tol)
     kind = NULL_RECURRENT if h.divergent else POSITIVE_RECURRENT
-    return RecurrenceClass(kind, g, h, root)
+    return RecurrenceClass(kind, root.G, h, root)
 
 
 @dataclass(frozen=True)
@@ -364,9 +379,9 @@ def pressure_derivative(model: RenewalModel, t: float, root: PressureRoot | None
 
 @dataclass(frozen=True)
 class FlatInterval:
-    t_start: float
-    start_bracket: tuple[float, float]
-    t_end: float  # math.inf when the flat region runs past the search bracket
+    t_start: float  # -math.inf when the flat set runs past the left end of the bracket
+    start_bracket: tuple[float, float] | None
+    t_end: float  # math.inf when the flat set runs past the right end of the bracket
     end_bracket: tuple[float, float] | None
 
     @property
@@ -374,22 +389,21 @@ class FlatInterval:
         return math.isinf(self.t_end)
 
 
-def _floor_status(model: RenewalModel, t: float, sum_tol: float) -> int:
-    """+1 outside the flat set (G > 1), -1 inside (G <= 1), 0 at the boundary."""
-    g = certified_G(model, t, model.bad_set_pressure(t), tol=sum_tol)
-    side = _g_side(g, max(8.0 * sum_tol, 1e-12))
-    if side == "above":
-        return 1
-    if side == "below":
-        return -1
-    if side == "boundary":
-        return 0
-    raise IndeterminateError(f"flat-boundary test indeterminate at t={t}")
-
-
 def _floor_g_mid(model: RenewalModel, t: float, sum_tol: float) -> float:
     g = certified_G(model, t, model.bad_set_pressure(t), tol=sum_tol)
     return g.midpoint if not g.divergent else INF
+
+
+def _flat_boundary(model: RenewalModel, flat: float, off: float, tol: float,
+                   sum_tol: float) -> tuple[float, tuple[float, float]]:
+    """Bisect between a flat t and an off-floor t: the flat end and the sorted bracket."""
+    while abs(off - flat) > tol:
+        mid = 0.5 * (flat + off)
+        if _on_floor(model, mid, sum_tol)[0]:
+            flat = mid
+        else:
+            off = mid
+    return flat, (min(flat, off), max(flat, off))
 
 
 def locate_flat_interval(model: RenewalModel, bracket: tuple[float, float],
@@ -398,19 +412,20 @@ def locate_flat_interval(model: RenewalModel, bracket: tuple[float, float],
     """Boundaries of {t : pressure sticks at the floor} inside the bracket.
 
     The flat set is an interval because G(t, p_B) is convex in t for an
-    affine floor.  Returns None when no interior point of the bracket is
-    certified flat.  A right boundary beyond the bracket is reported as inf.
+    affine floor.  None when neither end of the bracket nor the minimizer of
+    G(t, p_B) on it is certified flat.  A boundary inside the bracket is the
+    flat end of its bisection bracket (width <= tol); a flat set running past
+    the left or right end gives t_start = -inf or t_end = inf and no bracket.
     """
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not t_lo < t_hi:
         raise ValueError("bracket must satisfy t_lo < t_hi")
-    s_lo = _floor_status(model, t_lo, sum_tol)
-    s_hi = _floor_status(model, t_hi, sum_tol)
+    flat_lo = _on_floor(model, t_lo, sum_tol)[0]
+    flat_hi = _on_floor(model, t_hi, sum_tol)[0]
 
-    witness = None
-    if s_lo <= 0:
+    if flat_lo:
         witness = t_lo
-    elif s_hi <= 0:
+    elif flat_hi:
         witness = t_hi
     else:
         a, b = t_lo, t_hi
@@ -423,38 +438,19 @@ def locate_flat_interval(model: RenewalModel, bracket: tuple[float, float],
                 a = m1
             if b - a < max(tol, 1e-12):
                 break
-        cand = 0.5 * (a + b)
-        if _floor_status(model, cand, sum_tol) <= 0:
-            witness = cand
-        else:
+        witness = 0.5 * (a + b)
+        if not _on_floor(model, witness, sum_tol)[0]:
             return None
 
-    if s_lo > 0:
-        a, b = t_lo, witness  # a outside, b inside
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if _floor_status(model, mid, sum_tol) > 0:
-                a = mid
-            else:
-                b = mid
-        t_start, start_br = b, (a, b)
-    else:
-        t_start, start_br = t_lo, (t_lo, t_lo)
-
-    if s_hi > 0:
-        a, b = witness, t_hi  # a inside, b outside
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if _floor_status(model, mid, sum_tol) > 0:
-                b = mid
-            else:
-                a = mid
-        return FlatInterval(t_start, start_br, a, (a, b))
-    return FlatInterval(t_start, start_br, INF, None)
+    start = (-INF, None) if flat_lo else _flat_boundary(model, witness, t_lo, tol, sum_tol)
+    end = (INF, None) if flat_hi else _flat_boundary(model, witness, t_hi, tol, sum_tol)
+    return FlatInterval(*start, *end)
 
 
 FIRST_ORDER = "first-order"
 C1 = "C1"
+ONSET_OF_FLAT = "onset-of-flat"
+END_OF_FLAT = "end-of-flat"
 
 
 @dataclass(frozen=True)
@@ -480,22 +476,22 @@ def smoothness_at_transition(model: RenewalModel, t_star: float,
 
 
 def flat_transitions(model: RenewalModel, bracket: tuple[float, float],
-                     tol: float = 1e-8, sum_tol: float = DEFAULT_SUM_TOL) -> list[dict]:
+                     tol: float = 1e-8, sum_tol: float = DEFAULT_SUM_TOL) -> list[dict] | None:
     """The flat interval's boundaries inside the bracket, each with its smoothness.
 
-    Entries (t, kind, bracket, smoothness): an "onset-of-flat" entry when a
-    flat interval exists, then an "end-of-flat" entry when it ends inside
-    the bracket.
+    Entries (t, kind, bracket, smoothness): an "onset-of-flat" entry when the
+    flat interval starts inside the bracket, then an "end-of-flat" entry when
+    it ends inside it.  None when no point of the bracket is found flat (see
+    locate_flat_interval); an empty list when the whole bracket is flat.
     """
     flat = locate_flat_interval(model, bracket, tol=tol, sum_tol=sum_tol)
     if flat is None:
-        return []
-    ends = [("onset-of-flat", flat.t_start, flat.start_bracket)]
-    if not flat.unbounded:
-        ends.append(("end-of-flat", flat.t_end, flat.end_bracket))
+        return None
+    ends = [(ONSET_OF_FLAT, flat.t_start, flat.start_bracket),
+            (END_OF_FLAT, flat.t_end, flat.end_bracket)]
     return [{"t": t, "kind": kind, "bracket": br,
              "smoothness": smoothness_at_transition(model, t, sum_tol=sum_tol).kind}
-            for kind, t, br in ends]
+            for kind, t, br in ends if br is not None]
 
 
 @dataclass(frozen=True)
@@ -552,8 +548,8 @@ class WitnessReport:
     delta_double: float | None  # pressure change after adding 2*u0 per return
 
 
-def cyr_sarig_witness(model: RenewalModel, t: float, root: PressureRoot | None = None,
-                      verify: bool = True, tol: float = DEFAULT_ROOT_TOL,
+def cyr_sarig_witness(model: RenewalModel, t: float, verify: bool = True,
+                      tol: float = DEFAULT_ROOT_TOL,
                       sum_tol: float = DEFAULT_SUM_TOL) -> WitnessReport:
     """Size of the base-cylinder bonus that starts raising the pressure.
 
@@ -563,21 +559,15 @@ def cyr_sarig_witness(model: RenewalModel, t: float, root: PressureRoot | None =
     u0/2 and 2*u0 are re-solved to confirm constancy below and strict
     increase above the threshold.
     """
-    if root is None:
-        root = solve_pressure(model, t, tol=tol, sum_tol=sum_tol)
-    g = root.G
-    enclosure = (-math.log(g.upper), -math.log(g.lower))
-    transient = root.at_floor and g.upper < 1.0
-    u0 = 0.5 * (enclosure[0] + enclosure[1]) if transient else 0.0
+    root = solve_pressure(model, t, tol=tol, sum_tol=sum_tol)
+    enclosure = (-math.log(root.G.upper), -math.log(root.G.lower))
+    u0 = 0.5 * (enclosure[0] + enclosure[1]) if root.transient else 0.0
     delta_half = delta_double = None
-    if verify and transient:
-        half = solve_pressure(model.with_log_weight_shift(0.5 * u0), t,
-                              tol=tol, sum_tol=sum_tol)
-        double = solve_pressure(model.with_log_weight_shift(2.0 * u0), t,
-                                tol=tol, sum_tol=sum_tol)
-        delta_half = half.pressure - root.pressure
-        delta_double = double.pressure - root.pressure
-    return WitnessReport(u0, enclosure, transient, root.pressure,
+    if verify and root.transient:
+        delta_half, delta_double = (
+            solve_pressure(model.with_log_weight_shift(k * u0), t, tol=tol,
+                           sum_tol=sum_tol).pressure - root.pressure for k in (0.5, 2.0))
+    return WitnessReport(u0, enclosure, root.transient, root.pressure,
                          delta_half, delta_double)
 
 
@@ -609,15 +599,12 @@ def induced_equilibrium_weights(model: RenewalModel, t: float, n_levels: int = 6
     w = np.exp(model.log_mult(ns) + t * model.s_values(ns) - ns * p)
     per_cyl = np.exp(t * model.s_values(ns) - ns * p)
     h = cls.H
-    if h is not None and not h.divergent:
-        num = certified_series(model, t, p, s_weight=True, tol=sum_tol)
-        integral = iv_add(iv_scale(t, (num.lower, num.upper)),
-                          iv_scale(-p, (h.lower, h.upper)))
-    elif p == 0.0:
+    integral = None  # diverges to -inf when H does at a positive pressure
+    if not h.divergent or p == 0.0:
         num = certified_series(model, t, p, s_weight=True, tol=sum_tol)
         integral = iv_scale(t, (num.lower, num.upper))
-    else:
-        integral = None  # diverges to -inf
+        if not h.divergent:
+            integral = iv_add(integral, iv_scale(-p, (h.lower, h.upper)))
     return WeightsReport(ns, w, per_cyl, cls.G, h, integral)
 
 
@@ -684,7 +671,7 @@ def pressure_curve(model: RenewalModel, t_grid, root_tol: float = DEFAULT_ROOT_T
     warnings: list[str] = []
     if len(ts) >= 2:
         transitions = flat_transitions(model, (float(ts[0]), float(ts[-1])),
-                                       tol=max(root_tol, 1e-9), sum_tol=sum_tol)
+                                       tol=max(root_tol, 1e-9), sum_tol=sum_tol) or []
     if len(transitions) == 2:
         start, end = (tr["smoothness"] for tr in transitions)
         if start == FIRST_ORDER and end == C1:

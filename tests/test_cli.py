@@ -191,10 +191,57 @@ def test_doubling_grid_sequence_table_runs_on_its_sequence(tmp_path, capsys):
     ({"model": "renewal", "renewal": GRID,
       "task": {"pressure_curve": {"t_min": 2.0, "t_max": 0.5, "steps": 5}}}, 2),
     ({"model": "interval", "interval": DOUBLING, "task": {"zn": {"t": 1.0, "n_max": 23}}}, 2),
+    ({"model": "renewal", "renewal": GRID,
+      "task": {"sequence_table": {"n_max": 10 ** 12}}}, 2),
+    ({"model": "interval", "interval": {**DOUBLING, "head_count": 10 ** 12},
+      "task": {"zn": {"t": 1.0, "n_max": 4}}}, 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
     got, lines = run_main(tmp_path, capsys, cfg)
     assert got == code and len(lines) == 1
+
+
+@pytest.mark.parametrize("tolerances, tol", [
+    ({"root_tol": 1e300}, None), ({}, "nan"), ({}, "inf"), ({}, "-1"), ({}, "1e-3")])
+def test_root_tol_out_of_bounds_exits_2_with_one_line(tmp_path, capsys, tolerances, tol):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "renewal", "renewal": GRID, "tolerances": tolerances,
+                                "task": {"witness": {"t": 0.5}}}))
+    extra = [] if tol is None else ["--tol", tol]
+    code = main(["run", str(path), "-o", str(tmp_path / "out"), *extra])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(lines) == 1 and "root_tol" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_classify_task_solves_at_root_tol(tmp_path, monkeypatch):
+    import thermoform.cli as cli
+
+    solve, seen = cli.solve_pressure, []
+
+    def spy(model, t, tol=None, sum_tol=None):
+        seen.append(tol)
+        return solve(model, t, tol=tol, sum_tol=sum_tol)
+
+    monkeypatch.setattr(cli, "solve_pressure", spy)
+    cfg = {"model": "renewal", "renewal": GRID, "task": {"classify": {"t": 0.5}},
+           "tolerances": {"root_tol": 1e-7}}
+    report = run_config(cfg, str(tmp_path))
+    assert seen == [1e-7] and report["tolerances"]["root_tol"] == 1e-7
+
+
+def test_bracket_inside_the_flat_set_reports_no_onset(tmp_path):
+    # DFU's flat window is [1, ~3.21586]: both brackets start inside it
+    dfu = {"family": "grid", "gamma": 3.0, "delta": 0.2}
+    cfg = {"model": "renewal", "renewal": dfu,
+           "task": {"pressure_curve": {"t_min": 1.5, "t_max": 4.5, "steps": 4},
+                    "transitions": {"bracket": [1.5, 2.5]}}}
+    report = run_config(cfg, str(tmp_path))
+    curve = json.loads((tmp_path / "transitions.json").read_text())["transitions"]
+    assert [tr["kind"] for tr in curve] == ["end-of-flat"]
+    assert abs(curve[0]["t"] - 3.21586) <= 1e-5
+    assert report["outputs"]["transitions"]["flat_interval"] == {
+        "t_start": None, "start_bracket": None, "t_end": None, "end_bracket": None}
 
 
 def test_demo_rerun_is_byte_identical(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from thermoform import (EnvelopeError, IndeterminateError, RenewalModel,
                         TailEnvelope, build_transfer_matrix, certified_G,
                         certified_series, classify, conformal_atom_masses,
-                        cyr_sarig_witness, finite_truncation,
+                        cyr_sarig_witness, finite_truncation, flat_transitions,
                         induced_equilibrium_weights, locate_flat_interval,
                         pressure_curve, pressure_derivative, renewal_zn,
                         smoothness_at_transition, solve_pressure, solve_rpf,
@@ -140,6 +140,30 @@ def test_locate_flat_interval_absent():
     assert flat is None
 
 
+def dfu_model():
+    return sq.model_from_spec(sq.SequenceSpec("grid", gamma=3.0, delta=0.2))
+
+
+def test_flat_set_past_the_left_end_is_unbounded():
+    # the DFU window is [1, ~3.21586]; a bracket starting inside it has no onset
+    model = dfu_model()
+    flat = locate_flat_interval(model, (1.5, 4.5), tol=1e-9)
+    assert flat.t_start == -math.inf and flat.start_bracket is None
+    assert abs(flat.t_end - 3.21586) <= 1e-5
+    found = flat_transitions(model, (1.5, 4.5), tol=1e-9)
+    assert [tr["kind"] for tr in found] == ["end-of-flat"]
+    assert found[0]["t"] == flat.t_end and found[0]["bracket"] == flat.end_bracket
+
+
+def test_flat_set_past_both_ends_has_no_transitions():
+    model = dfu_model()
+    flat = locate_flat_interval(model, (1.5, 2.5), tol=1e-9)
+    assert (flat.t_start, flat.start_bracket) == (-math.inf, None)
+    assert (flat.t_end, flat.end_bracket) == (math.inf, None)
+    assert flat_transitions(model, (1.5, 2.5), tol=1e-9) == []
+    assert flat_transitions(model, (0.1, 0.5), tol=1e-9) is None
+
+
 def test_smoothness_geometric_boundary_first_order():
     c = 1.0
     model = geometric_model(c, grid=True)
@@ -234,6 +258,27 @@ def test_shifted_integral_flags_divergence():
     infinite = induced_equilibrium_weights(normalized_grid_model(1.5), 1.0)
     assert infinite.tau_mean.divergent
     assert infinite.shifted_integral is None  # integral runs to -inf
+
+
+def test_shifted_integral_at_null_recurrent_zero_pressure():
+    # the "sum=1, infinite mean return" row: p = 0, H diverges, and the
+    # integral is t * sum s_n e^{t s_n}, which converges since log(n) n^-1.5 does
+    mpmath = pytest.importorskip("mpmath")
+    seq = sq.from_spec(sq.SequenceSpec("hofbauer", gamma=1.5, head=(-LOG2,),
+                                       normalization_target=1.0))
+    t = 1.0
+    rep = induced_equilibrium_weights(sq.realize_model(seq, sq.HOFBAUER), t)
+    assert rep.tau_mean.divergent and rep.shifted_integral is not None
+    with mpmath.workdps(40):
+        heads = np.cumsum([mpmath.mpf(a) for a in seq.head])  # s_1..s_{n_cut}
+        g, kappa, tail_from = seq.gamma * t, mpmath.mpf(seq.kappa), seq.n_cut + 1
+        ref = sum(s * mpmath.exp(t * s) for s in heads)
+        # sum_{n > n_cut} (kappa - gamma log n) e^{t kappa} n^{-gamma t}
+        ref += mpmath.exp(t * kappa) * (kappa * mpmath.zeta(g, tail_from)
+                                        + seq.gamma * mpmath.zeta(g, tail_from, derivative=1))
+        ref = float(t * ref)
+    lo, hi = rep.shifted_integral
+    assert lo <= ref <= hi
 
 
 def test_degenerate_flat_free_model():
