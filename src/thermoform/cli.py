@@ -289,12 +289,13 @@ TASKS = {
 }
 
 
-def _check_root_tol(rt: float) -> float:
-    """The root tolerance, from --tol or the config, held to the schema's bounds."""
-    top = _validator().schema["properties"]["tolerances"]["properties"]["root_tol"]["maximum"]
-    if not 0.0 < rt <= top:  # false for nan too, which the schema lets through
-        raise ValueError(f"root_tol must be finite, > 0 and <= {top:g}; got {rt}")
-    return rt
+def _check_tol(name: str, value: float) -> float:
+    """A tolerance (root_tol from --tol or the config, or sum_tol) held to the
+    schema's bounds."""
+    top = _validator().schema["properties"]["tolerances"]["properties"][name]["maximum"]
+    if not 0.0 < value <= top:  # false for nan too, which the schema lets through
+        raise ValueError(f"{name} must be finite, > 0 and <= {top:g}; got {value}")
+    return value
 
 
 def _check_tasks(kind: str, task: dict) -> None:
@@ -334,9 +335,9 @@ def run_config(config: dict, outdir: str, root_tol: float | None = None,
     _check_tasks(kind, task)
     threads = thread_count()
     tolerances = config.get("tolerances", {})
-    rt = _check_root_tol(root_tol if root_tol is not None
-                         else tolerances.get("root_tol", 1e-10))
-    st = tolerances.get("sum_tol", 1e-12)
+    rt = _check_tol("root_tol", root_tol if root_tol is not None
+                    else tolerances.get("root_tol", 1e-10))
+    st = _check_tol("sum_tol", tolerances.get("sum_tol", 1e-12))
     run = SimpleNamespace(root_tol=rt, sum_tol=st, gnuplot=gnuplot, files={}, warnings=[])
     _parse_subjects(config, task, run)
 

@@ -441,10 +441,12 @@ def mp_induced_model(alpha: float, n_levels: int = 200) -> RenewalModel:
 
     Level n returns after n steps through the parabolic side; its induced
     value is -log|DF| at the periodic point of the level branch (a locally
-    constant stand-in, no distortion constant claimed).  The tail envelope is
-    fitted on the upper half of the computed levels and the fitted shape
-    extends the model beyond them; the fit residual is reported as the
-    envelope eps.  The build holds a levels x levels orbit array, so the
+    constant stand-in, no distortion constant claimed).  The tail shape is
+    fitted on the upper half of the computed levels and extends the model
+    beyond them.  The envelope starts past the computed levels, where `s`
+    is that shape exactly, so its eps is 0: the fit residual bounds nothing
+    beyond the computed levels, and certified_series sums every computed
+    level explicitly.  The build holds a levels x levels orbit array, so the
     level count is capped at MP_MAX_LEVELS.
     """
     if alpha <= 0:
@@ -457,13 +459,12 @@ def mp_induced_model(alpha: float, n_levels: int = 200) -> RenewalModel:
     s_vals[1:] = _mp_level_values(manneville_pomeau_model(alpha),
                                   mp_preimage_ladder(alpha, n_levels))
 
-    n_start = max(n_levels // 2, 2)
-    ns_fit = np.arange(n_start, n_levels + 1, dtype=float)
+    fit_from = max(n_levels // 2, 2)
+    ns_fit = np.arange(fit_from, n_levels + 1, dtype=float)
     x_fit = np.column_stack([np.ones(len(ns_fit)), -np.log(ns_fit)])
-    coef, *_ = np.linalg.lstsq(x_fit, s_vals[n_start:], rcond=None)
+    coef, *_ = np.linalg.lstsq(x_fit, s_vals[fit_from:], rcond=None)
     offset, log_coeff = float(coef[0]), float(coef[1])
-    eps = float(np.max(np.abs(s_vals[n_start:] - (offset - log_coeff * np.log(ns_fit)))))
-    envelope = TailEnvelope(0.0, log_coeff, offset, eps + 1e-12, n_start)
+    envelope = TailEnvelope(0.0, log_coeff, offset, 0.0, n_levels + 1)
 
     table = s_vals.copy()
 

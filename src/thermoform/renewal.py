@@ -187,9 +187,10 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
         lower = partial + tail[0] - fp_slack
         upper = partial + tail[1] + fp_slack
         width = upper - lower
-        if width <= tol * (1.0 + min(abs(lower), abs(upper))) or m >= cap:
-            method = "euler-maclaurin"
-            return CertifiedSum(lower, upper, int(m), method)
+        if width <= tol * (1.0 + min(abs(lower), abs(upper))):
+            return CertifiedSum(lower, upper, int(m), "euler-maclaurin")
+        if m >= cap:  # still an enclosure, but wider than tol
+            return CertifiedSum(lower, upper, int(m), "capped")
         m *= 2
 
 

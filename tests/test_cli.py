@@ -195,6 +195,10 @@ def test_doubling_grid_sequence_table_runs_on_its_sequence(tmp_path, capsys):
       "task": {"sequence_table": {"n_max": 10 ** 12}}}, 2),
     ({"model": "interval", "interval": {**DOUBLING, "head_count": 10 ** 12},
       "task": {"zn": {"t": 1.0, "n_max": 4}}}, 2),
+    ({"model": "renewal", "renewal": GRID, "tolerances": {"sum_tol": math.nan},
+      "task": {"classify": {"t": 3.0}, "witness": {"t": 3.0}}}, 2),
+    ({"model": "renewal", "renewal": GRID, "tolerances": {"sum_tol": 1e300},
+      "task": {"classify": {"t": 3.0}}}, 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
     got, lines = run_main(tmp_path, capsys, cfg)
@@ -250,6 +254,24 @@ def test_demo_rerun_is_byte_identical(tmp_path):
     run_demo("grid-dfu", str(out2))
     for name in ("curve.csv", "transitions.json", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", demo_names())
+def test_demo_series_stop_below_the_cap(tmp_path, monkeypatch, name):
+    import thermoform.renewal as rn
+
+    series, ends = rn.certified_series, []
+
+    def spy(*args, **kwargs):
+        out = series(*args, **kwargs)
+        ends.append((out.n_terms, out.tail_method))
+        return out
+
+    monkeypatch.setattr(rn, "certified_series", spy)
+    run_demo(name, str(tmp_path))
+    assert all(n < rn._SERIES_CAP and method != "capped" for n, method in ends)
+    if name in ("grid-df", "grid-dfu", "mp"):
+        assert ends
 
 
 def test_demo_names_and_listing():

@@ -279,6 +279,7 @@ def test_shifted_integral_at_null_recurrent_zero_pressure():
         ref = float(t * ref)
     lo, hi = rep.shifted_integral
     assert lo <= ref <= hi
+    assert hi - lo <= 1e-10
 
 
 def test_degenerate_flat_free_model():
@@ -320,15 +321,27 @@ def test_envelope_validation_rejects_lies():
         certified_G(bad, 1.0, 0.0)
 
 
-def test_wide_envelope_raises_indeterminate():
-    # critical-exponent model normalized to G(1, 0) = 1, but with a tail
-    # envelope loose enough that the enclosure straddles 1 irreparably
+def loose_critical_model():
+    """Critical-exponent model normalized to G(1, 0) = 1, but with a tail
+    envelope loose enough that the enclosure straddles 1 irreparably."""
     kappa = -math.log(2.612375348685488)  # 1 / zeta(1.5)
-    model = RenewalModel(
+    return RenewalModel(
         lambda n: kappa - 1.5 * np.log(np.asarray(n, dtype=float)),
         TailEnvelope(0.0, 1.5, kappa, 0.01, 1), 0.0, 0.0, 0.0, 0.0, "loose")
+
+
+def test_wide_envelope_raises_indeterminate():
     with pytest.raises(IndeterminateError):
-        solve_pressure(model, 1.0)
+        solve_pressure(loose_critical_model(), 1.0)
+
+
+def test_capped_series_says_so():
+    # the loose model never meets tol; at its term cap it still encloses
+    # G(1, 0) = 1 but reports that it stopped there
+    g = certified_series(loose_critical_model(), 1.0, 0.0, tol=1e-12, cap=2048)
+    assert g.tail_method == "capped" and g.n_terms == 2048
+    assert g.width > 1e-12 and g.contains(1.0)
+    assert certified_G(geometric_model(1.0), 1.0, 0.0).tail_method == "euler-maclaurin"
 
 
 def test_pressure_curve_assembly():

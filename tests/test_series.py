@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -73,12 +74,26 @@ def test_tail_divergent_flags():
 
 
 def test_log_tail_encloses_brute_force():
-    for a, rho, m in [(-3.0, 0.0, 64), (-1.5, -1e-4, 256), (-2.5, 0.0, 1024)]:
-        lo, hi = tail_log_power_exp(a, rho, m)
-        total = 0.0
-        n = np.arange(m, 50_000_000, dtype=np.float64)
-        total = float(np.sum(np.log(n) * n ** a * np.exp(rho * n)))
-        assert lo <= total <= hi
+    # at rho = 0 a sum cut at 5e7 falls short by more than the enclosure's
+    # width, so the oracle is -d/ds zeta(s, m) at s = -a
+    for a, m in [(-3.0, 64), (-2.5, 1024)]:
+        lo, hi = tail_log_power_exp(a, 0.0, m)
+        assert lo <= -mpmath.zeta(-a, m, derivative=1) <= hi
+    # at rho = -1e-4 the cut leaves about e^-5000
+    lo, hi = tail_log_power_exp(-1.5, -1e-4, 256)
+    n = np.arange(256, 50_000_000, dtype=np.float64)
+    total = float(np.sum(np.log(n) * n ** -1.5 * np.exp(-1e-4 * n)))
+    assert lo <= total <= hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-4.5, -1.02), m=st.integers(2, 1 << 21))
+def test_log_tail_at_zero_rho_matches_hurwitz_derivative(a, m):
+    lo, hi = tail_log_power_exp(a, 0.0, m)
+    ref = -mpmath.zeta(-a, m, derivative=1)
+    assert lo <= ref <= hi
+    if m >= 1024:
+        assert hi - lo <= 1e-12 * float(ref)
 
 
 def test_certified_sum_properties():
