@@ -238,20 +238,20 @@ def _grid_orbit_sums(seq: RealizedSequence, n: int) -> np.ndarray:
 
     The potential value along the orbit is a_k where k is the cyclic run of
     zeros ahead of the current position; the all-zero word (the fixed point
-    at 0) contributes 0.
+    at 0) contributes 0.  With table[c] that value at the n-bit word c, S_n
+    at c sums table over the n left rotations of c.  Rotating left by i swaps
+    the top i bits (hi) with the low n - i bits (lo), so row hi, column lo of
+    the sums viewed as 2^i x 2^(n-i) takes table viewed as 2^(n-i) x 2^i,
+    transposed: the same values added in the same order as word by word.
     """
     codes = _itineraries(n)
-    mask = (1 << n) - 1
     a_vals = np.array([seq.a(k) for k in range(n + 1)])
+    # leading-zero run of an n-bit word c > 0: n - bit_length(c)
+    bit_length = np.frexp(codes.astype(float))[1]
+    table = np.where(codes > 0, a_vals[n - bit_length], 0.0)
     total = np.zeros(len(codes))
     for i in range(n):
-        rolled = ((codes << i) | (codes >> (n - i))) & mask if i else codes
-        nonzero = rolled > 0
-        # leading-zero run of an n-bit word: n - bit_length
-        bl = np.zeros(len(codes), dtype=np.int64)
-        bl[nonzero] = np.frexp(rolled[nonzero].astype(float))[1]
-        run = np.where(nonzero, n - bl, 0)
-        total += np.where(nonzero, a_vals[run], 0.0)
+        total.reshape(1 << i, 1 << (n - i))[...] += table.reshape(1 << (n - i), 1 << i).T
     return total
 
 

@@ -37,7 +37,6 @@ from .errors import EnvelopeError, ConvergenceError, IndeterminateError
 from .series import (CertifiedSum, INF, iv_add, iv_div_pos, iv_scale,
                      tail_log_power_exp, tail_power_exp)
 from .shifts import FiniteShift, LocallyConstantPotential
-import scipy.sparse as sp
 
 DEFAULT_SUM_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -731,6 +730,8 @@ def finite_truncation(model: RenewalModel, t: float, n_max: int):
         rows.append(chain[-1])
         cols.append(0)
         phi[chain[0]] = log_w[n - 1] - log_w[0]
+    import scipy.sparse as sp  # only finite-shift code loads scipy
+
     data = np.ones(len(rows), dtype=np.int8)
     trans = sp.csr_matrix((data, (rows, cols)), shape=(n_vertices, n_vertices))
     shift = FiniteShift(n_vertices, trans)

@@ -15,8 +15,13 @@ needs at the onset of transience, gets the same enclosure carried one
 Bernoulli term further, with elementary integrals.  For rho < 0 it still
 rests on log n <= 2 n^(1/2), which is certified but loose.
 
-Floating-point rounding is not tracked rigorously; partial sums add a
-16-ulp-style slack per term, far below every tolerance used by callers.
+The incomplete gamma function is evaluated in pure Python, with a proven
+relative error bound (upper_gamma_rel_err): the Legendre continued fraction
+(DLMF 8.9.2) for x >= 2, a Temme-style power series (DLMF 8.7) for x < 2,
+and recurrences in s whose every step is well conditioned.  The bound
+assumes a faithful C library (exp, expm1, log and pow within one ulp).  The
+rest of the Euler-Maclaurin arithmetic, and the partial sums of callers,
+carry a 1e-14 relative float slack, far below every tolerance they use.
 """
 
 from __future__ import annotations
@@ -25,18 +30,10 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import special
+
+from .errors import ConvergenceError
 
 INF = float("inf")
-
-def _gamma_rel_slack(s_min: float, x: float) -> float:
-    """Relative accuracy budget for the incomplete-gamma evaluations.
-
-    Each downward recurrence step subtracts nearly equal quantities once x is
-    large; the amplification is bounded by powers of (1 + x) per step.
-    """
-    steps = int(math.ceil(max(0.0, -s_min))) + 1
-    return 1e-14 * (1.0 + x) ** min(steps, 8)
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,187 @@ def iv_div_pos(num: tuple[float, float], den: tuple[float, float]) -> tuple[floa
     return (lo, hi)
 
 
+_U = 2.0 ** -53  # unit roundoff of a float64
+_CF_FROM = 2.0  # continued fraction for x >= _CF_FROM, power series below
+_CF_PAIRS = 80  # cap on continued-fraction pairs; x >= 2 needs at most 54
+_CF_STOP = 2.0 ** -50  # stop once two successive convergents agree this well
+_MIN_NORMAL = 2.2250738585072014e-308
+
+# q(z) = (1/Gamma(1+z) - 1)/z = sum_i _RGAM_Q[i] z^i, from the Maclaurin series
+# of 1/Gamma (DLMF 5.7.1) at 50 digits; the dropped terms sum to < 2e-20 for
+# |z| <= 1.
+_RGAM_Q = (
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+    -2.0583260535665066e-14, -5.348122539423018e-15, 1.2267786282382608e-15,
+    -1.1812593016974588e-16, 1.1866922547516004e-18, 1.4123806553180319e-18,
+    -2.29874568443537e-19,
+)
+_RGAM_Q_REVERSED = _RGAM_Q[::-1]
+_RGAM_ABS_REVERSED = tuple(abs(c) for c in _RGAM_Q_REVERSED)
+_RGAM_TAIL = 2e-20
+
+
+def _cf_rel_err() -> float:
+    """Relative error bound of the continued-fraction branch for s <= 1.
+
+    F = 1/(x+ (1-s)/(1+ 1/(x+ (2-s)/(1+ 2/(x+ ...))))) has positive elements
+    a_1 = 1, a_2k = k - s, a_2k+1 = k and b_odd = x, b_even = 1, so
+    Gamma(s, x) = x^s e^-x F lies between any two successive convergents
+    f_(n-1), f_n.  Modified Lentz rounds like the exact recursion run on
+    elements perturbed by at most delta = (1+u)^3/(1-u) - 1 each (one set for
+    its C, one for its D); the numerator and denominator of f_n are sums of
+    positive monomials of at most n elements, so each moves by a factor within
+    (1 +- delta)^n, and the 2n products add (1+u)^(2n): the computed f_n is
+    within E_n = ((1+delta)/(1-delta))^n (1+u)^(2n) - 1 of the exact one.
+    The loop stops at |f_n/f_(n-1) - 1| <= stop, so both f_n and f_(n-1) lie
+    within E_n + stop + u of the computed f_n, and so does F between them.
+    The prefactor x**s * exp(-x) and the last product add 6u.  The sum is
+    taken to first order and widened by 1.01, which covers the cross terms.
+    """
+    n = 2 * _CF_PAIRS + 1
+    delta = (1.0 + _U) ** 3 / (1.0 - _U) - 1.0
+    e_n = ((1.0 + delta) / (1.0 - delta)) ** n * (1.0 + _U) ** (2 * n) - 1.0
+    return 1.01 * (e_n + _CF_STOP + _U + 6.0 * _U)
+
+
+_CF_REL_ERR = _cf_rel_err()
+
+
+def _cf_upper_gamma(s: float, x: float) -> float:
+    """Gamma(s, x) for s <= 1 and x >= _CF_FROM by modified Lentz on the
+    Legendre continued fraction (see _cf_rel_err).
+
+    Where x^s e^-x falls so low that Gamma(s, x) could leave the normal float
+    range, this returns the upper bound 2 x^(s-1) e^-x instead (the first
+    convergent is an upper bound), widened by two subnormal ulps.
+    """
+    p = _prefactor(s, x)
+    if not p:
+        return 2.0 * x ** s * math.exp(-x) / x + 1e-323
+    f = d = 1.0 / x
+    c = INF
+    for k in range(1, _CF_PAIRS + 1):
+        a = k - s
+        d = 1.0 / (1.0 + a * d)
+        c = 1.0 + a / c
+        f *= c * d
+        d = 1.0 / (x + k * d)
+        c = x + k / c
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) <= _CF_STOP:
+            return p * f
+    raise ConvergenceError(f"upper_gamma({s}, {x}): continued fraction did not converge")
+
+
+def _small_x_base(sigma: float, x: float) -> tuple[float, float]:
+    """Gamma(sigma, x) for -1/2 <= sigma <= 1 and 0 < x < _CF_FROM, with a
+    bound on its absolute error.
+
+    Gamma(sigma, x) = Gamma(sigma) - gamma(sigma, x), with the lower function
+    as x^sigma sum (-x)^n / (n! (sigma+n)) (DLMF 8.7.1 with 8.5.1), is
+    regrouped so that nothing blows up at sigma = 0:
+
+        Gamma(sigma, x) = g1 + (1 - x^sigma)/sigma - x^sigma S,
+        g1 = (Gamma(1+sigma) - 1)/sigma = -q/(1 + sigma q),
+        S = sum_(n>=1) (-x)^n / (n! (sigma+n)),
+
+    which is E1's series at sigma = 0.  The error bound adds the truncation
+    and rounding of each part; S alternates with decreasing terms (x < 2), so
+    its remainder is below the last term kept.
+    """
+    u = _U
+    log_x = math.log(x)
+    y = sigma * log_x
+    xs = math.exp(y)
+    q = 0.0
+    for coef in _RGAM_Q_REVERSED:
+        q = q * sigma + coef
+    r = 1.0 + sigma * q
+    g1 = -q / r
+    if abs(y) <= 1e-20:  # (1 - x^sigma)/sigma = -log(x) (1 + y/2 + ...)
+        b = -log_x
+        b_err = abs(log_x) * (2.0 * u + abs(y))
+    else:
+        b = -math.expm1(y) / sigma
+        b_err = (3.01 * u * abs(log_x) * math.exp(max(y, 0.0) * (1.0 + 4.0 * u))
+                 + 3.0 * u * abs(b))
+    term, n, s_sum, s_abs = 1.0, 0, 0.0, 0.0
+    while abs(term) >= 1e-20:
+        n += 1
+        term *= -x / n
+        t = term / (sigma + n)
+        s_sum += t
+        s_abs += abs(t)
+    value = g1 + b - xs * s_sum
+    # g1: Horner on 28 coefficients (each rounded) plus the dropped tail
+    q_abs = 0.0
+    for coef in _RGAM_ABS_REVERSED:
+        q_abs = q_abs * abs(sigma) + coef
+    q_err = _RGAM_TAIL + 2.0 * len(_RGAM_Q) * u * q_abs
+    r_err = abs(sigma) * q_err + 2.0 * u * (abs(sigma * q) + abs(r))
+    g1_err = (q_err + abs(g1) * r_err) / (abs(r) - r_err) + u * abs(g1)
+    # x^sigma S: the n-th term carries (2n + 2) roundings, the sum n more
+    s_err = (3 * n + 2) * u * s_abs + 1e-20
+    xs_rel = (3.01 * abs(y) + 3.0) * u
+    t3 = abs(xs * s_sum)
+    t3_err = xs * s_err + t3 * xs_rel
+    err = g1_err + b_err + t3_err + 2.0 * u * (abs(g1) + abs(b) + t3)
+    return value, 1.01 * err
+
+
+def _small_x_upper_gamma(s: float, x: float) -> tuple[float, float]:
+    """Gamma(s, x) for s <= 1 and 0 < x < _CF_FROM, and its relative error
+    bound.
+
+    The base sigma = s + k lies in (1/2, 1] or in [-1/2, 1/2].  A downward
+    step Gamma(s) = (x^s e^-x - Gamma(s+1))/|s| has Gamma(s+1) <=
+    x^s e^-x (x+1)/(x+1+|s|) (third convergent of the continued fraction), so
+    it amplifies the error of Gamma(s+1) by at most rho = (x+1)/|s| <= 6 and
+    that of x^s e^-x (5u) by 1 + rho.
+    """
+    u = _U
+    k = max(0, math.ceil(-0.5 - s)) if s <= 0.5 else 0
+    sigma = s + k  # exact: a multiple of ulp(s) no larger than |s|
+    g, abs_err = _small_x_base(sigma, x)
+    # Gamma(sigma, x) >= x^sigma e^-x / (x + 1 - sigma) (second convergent)
+    # and decreases in x, so the bound at x and at _CF_FROM both hold
+    lower = 0.99 * max(x ** sigma * math.exp(-x) / (x + 1.0 - sigma),
+                       _CF_FROM ** sigma * math.exp(-_CF_FROM) / (_CF_FROM + 1.0 - sigma))
+    rel = abs_err / lower
+    ex = math.exp(-x)
+    for j in range(1, k + 1):
+        sj = sigma - j
+        g = (g - x ** sj * ex) / sj
+        rho = (x + 1.0) / -sj
+        rel = 1.01 * (rho * rel + (1.0 + rho) * 5.0 * u + 2.0 * u)
+    return g, rel
+
+
+def _prefactor(s: float, x: float) -> float:
+    """x^s e^-x, or 0 where it is so low that Gamma(s, x) could leave the
+    normal float range (Gamma(s, x) >= x^s e^-x / (x + 1 - s) for s <= 1)."""
+    p = x ** s * math.exp(-x)
+    return p if p >= _MIN_NORMAL * (x + 2.0 - s) else 0.0
+
+
+def _upward_steps(s: float) -> int:
+    """Steps Gamma(s+1) = s Gamma(s) + x^s e^-x from s - m in (0, 1] up to s."""
+    return math.ceil(s - 1.0) if s > 1.0 else 0
+
+
 def upper_gamma(s: float, x: float) -> float:
     """Upper incomplete gamma Gamma(s, x) for real s and x > 0.
 
-    Negative s is reduced by Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x) / s.
+    upper_gamma_rel_err(s, x) bounds its relative error.  For x > 700, and
+    where Gamma(s, x) could leave the normal float range, the value is an
+    upper bound instead: callers only need that deep below underflow.
     """
     if x <= 0:
         raise ValueError("x must be positive")
@@ -105,20 +279,46 @@ def upper_gamma(s: float, x: float) -> float:
             raise ValueError("upper_gamma outside its large-x validity range")
         bound_log = (s - 1.0) * math.log(x) - x + math.log(2.0)
         return math.exp(bound_log) if bound_log > -745.0 else 5e-324
-    if s > 0:
-        return float(special.gammaincc(s, x) * special.gamma(s))
-    if s == 0.0:
-        return float(special.exp1(x))
-    k = int(math.ceil(-s))
-    s_top = s + k
-    if s_top == 0.0:
-        g = float(special.exp1(x))
+    m = _upward_steps(s)
+    sigma = s - m  # exact, as in _small_x_upper_gamma
+    if x < _CF_FROM:
+        g = _small_x_upper_gamma(sigma, x)[0]
     else:
-        g = float(special.gammaincc(s_top, x) * special.gamma(s_top))
-    for j in range(k):
-        s_cur = s_top - 1 - j  # Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x) / s
-        g = (g - x ** s_cur * math.exp(-x)) / s_cur
+        g = _cf_upper_gamma(sigma, x)
+    # every term of the upward recurrence is positive, so nothing cancels
+    ex = math.exp(-x)
+    for j in range(m):
+        sj = sigma + j
+        g = sj * g + x ** sj * ex
     return g
+
+
+def upper_gamma_rel_err(s: float, x: float, steps: int = 0) -> float:
+    """Bound e on the relative error of upper_gamma(s + j, x), j = 0..steps.
+
+    |v - Gamma| <= e * min(v, Gamma) for the value v.  Where v is an upper
+    bound (x > 700, or Gamma(s, x) near the bottom of the float range) the
+    bound is 1 or 2, which still encloses Gamma in [v - e v, v].  Each upward
+    step adds at most 2.01u: it rounds a product and a sum of positive terms,
+    and x^s e^-x carries 5u.
+    """
+    if x > 700.0:
+        return 2.0  # Gamma <= v <= 3 Gamma for |s - 1| <= x/2
+    # for x >= _CF_FROM the bound grows with the upward steps (largest s) and
+    # jumps to 1 where the value turns into an upper bound (smallest s), so
+    # the two ends suffice
+    ends = (s, s + steps) if x >= _CF_FROM else [s + j for j in range(steps + 1)]
+    err = 0.0
+    for end in ends:
+        m = _upward_steps(end)
+        if x < _CF_FROM:
+            e = _small_x_upper_gamma(end - m, x)[1]
+        elif not _prefactor(end - m, x):
+            e = 1.0
+        else:
+            e = _CF_REL_ERR
+        err = max(err, e + 2.01 * _U * m)
+    return err
 
 
 def integral_power_exp(a: float, rho: float, m: float) -> float:
@@ -176,7 +376,8 @@ def tail_power_exp(a: float, rho: float, m_from: int) -> tuple[float, float]:
         coeff = math.comb(4, k) * abs(rho) ** k * abs(_falling(a, 4 - k))
         if coeff:
             rem += coeff * integral_power_exp(a - (4 - k), rho, M)
-    fp_rel = _gamma_rel_slack(a - 3.0, -rho * M) if rho < 0 else 1e-14
+    # every Gamma(s, x) above has s in a - 3, ..., a + 1
+    fp_rel = 1e-14 + (upper_gamma_rel_err(a - 3.0, -rho * M, steps=4) if rho < 0 else 0.0)
     rem = rem / 720.0 + fp_rel * (abs(integral) + fM + rem)
     lo = max(core - rem, 0.0)
     hi = core + rem

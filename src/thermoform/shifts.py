@@ -10,15 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 Word = tuple[int, ...]
 
 
 def _is_sparse(mat) -> bool:
-    return sp.issparse(mat)
+    # a sparse matrix can only exist once scipy.sparse is loaded, so dense
+    # callers never pay for importing it
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(mat)
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,27 @@ States are admissible level-k cylinders.  With column C (source) and row C'
 Then T h = lambda h recovers the density h, m T = lambda m the conformal
 weights m, lambda = e^P, and trace(T^n) equals the period-n orbit sum of
 exp of the Birkhoff sums.
+
+scipy.sparse is imported inside the functions that build or walk these
+matrices, so importing the package does not load scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, NotMixingError
 from .renewal import NON_UNIQUE, POSITIVE_RECURRENT, PressureCurve, check_curve
 from .shifts import (FiniteShift, LocallyConstantPotential,
                      enumerate_admissible_words, is_admissible,
                      is_topologically_mixing)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,8 @@ class TransferMatrix:
         return len(self.states)
 
     def trace_power(self, n: int) -> float:
+        import scipy.sparse as sp
+
         p = self.matrix
         out = sp.identity(self.size, format="csr")
         for _ in range(n):
@@ -55,6 +62,7 @@ def build_transfer_matrix(shift: FiniteShift, potential: LocallyConstantPotentia
         level = k
     if level < k:
         raise ValueError("cylinder level must be >= potential depth")
+    import scipy.sparse as sp
 
     if level == 1:
         # fast path: states are the symbols themselves
@@ -125,6 +133,8 @@ def _graph_period(adj: sp.csr_matrix) -> int:
 
 
 def _check_primitive(mat: sp.csr_matrix) -> None:
+    from scipy.sparse.csgraph import connected_components
+
     adj = (mat != 0).astype(np.int8).tocsr()
     n_comp, _ = connected_components(adj, directed=True, connection="strong")
     if n_comp != 1:
@@ -242,6 +252,9 @@ def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) ->
     component that carries a cycle, its symbols, its sub-shift (symbols
     relabelled 0..k-1) and the potential relabelled onto it.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     adj = sp.csr_matrix(shift.dense()) if not shift.is_sparse else shift.transitions
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
     if n_comp == 1:
@@ -275,6 +288,8 @@ def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential
     maximizers, which is how non-uniqueness of the equilibrium state shows up
     for non-mixing inputs.
     """
+    import scipy.sparse as sp
+
     if components is None:
         components = cycle_components(shift, potential)
     comps: list[ComponentSolution] = []

@@ -326,15 +326,44 @@ def test_gnuplot_emission(tmp_path):
     assert "curve.csv" in script
 
 
-def test_console_entry_point(tmp_path):
-    # the child imports the same thermoform as this process, installed or not
+def run_child(*args):
+    """A fresh interpreter that imports the same thermoform, installed or not."""
     src = os.path.dirname(os.path.dirname(thermoform.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "thermoform.cli", "list-demos"],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point(tmp_path):
+    proc = run_child("-m", "thermoform.cli", "list-demos")
     assert proc.returncode == 0
     assert "grid-dfu" in proc.stdout
+
+
+def test_renewal_runs_load_no_scipy(tmp_path):
+    # scipy is only for finite shifts; renewal and interval-map runs skip it
+    config = {"model": "renewal", "renewal": {"family": "grid", "gamma": 3.0},
+              "task": {"classify": {"t": 1.0}}}
+    proc = run_child("-c", f"""
+import sys
+import thermoform.cli as cli
+cli.run_config({config!r}, {str(tmp_path / "r")!r})
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_finite_shift_curve_runs_in_a_fresh_process(tmp_path):
+    cfg = tmp_path / "nonmixing.json"
+    cfg.write_text(json.dumps(nonmixing_config()))
+    proc = run_child("-m", "thermoform.cli", "run", str(cfg), "-o", str(tmp_path / "nm"))
+    assert proc.returncode == 0, proc.stderr
+    _, rows = read_curve(tmp_path / "nm" / "curve.csv")
+    assert len(rows) == 11
+    for row in rows:
+        t = float(row[0])
+        assert abs(float(row[1]) - (max(-t, -2 * t) + LOG2)) <= 1e-10
 
 
 @pytest.mark.parametrize("renewal", [{"family": "grid", "gamma": 3.0, "delta": 0.2},

@@ -225,3 +225,48 @@ def test_zn_sum_caps_the_period():
         zn_sum(model, 1.0, 23)
     with pytest.raises(ValueError, match="22"):
         zn_sum(chebyshev_model(), 1.0, 23)
+
+
+def orbit_sums_per_rotation(seq, n):
+    """The per-rotation loop _grid_orbit_sums replaced, kept as the reference."""
+    codes = np.arange(1 << n, dtype=np.int64)
+    mask = (1 << n) - 1
+    a_vals = np.array([seq.a(k) for k in range(n + 1)])
+    total = np.zeros(len(codes))
+    for i in range(n):
+        rolled = ((codes << i) | (codes >> (n - i))) & mask if i else codes
+        nonzero = rolled > 0
+        bl = np.zeros(len(codes), dtype=np.int64)
+        bl[nonzero] = np.frexp(rolled[nonzero].astype(float))[1]
+        run = np.where(nonzero, n - bl, 0)
+        total += np.where(nonzero, a_vals[run], 0.0)
+    return total
+
+
+def orbit_sum_brute_force(seq, word):
+    """S_n at one word: a_k per position, k the cyclic run of zeros ahead."""
+    n = len(word)
+    if not any(word):
+        return 0.0
+    total = 0.0
+    for i in range(n):
+        k = 0
+        while word[(i + k) % n] == 0:
+            k += 1
+        total += seq.a(k)
+    return total
+
+
+@pytest.mark.parametrize("seq", [normalize(build_tail(3.0, 1), 2.0),
+                                 transient_grid_sequence()])
+def test_grid_orbit_sums_by_transposes(seq):
+    from thermoform.intervalmaps import _grid_orbit_sums
+
+    for n in range(1, 17):
+        sums = _grid_orbit_sums(seq, n)
+        assert sums.tobytes() == orbit_sums_per_rotation(seq, n).tobytes()
+        if n <= 10:
+            for c in range(1 << n):
+                word = [(c >> (n - 1 - i)) & 1 for i in range(n)]
+                assert sums[c] == pytest.approx(orbit_sum_brute_force(seq, word),
+                                                rel=1e-12, abs=1e-12)

@@ -1,12 +1,13 @@
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
 
 from thermoform.series import (CertifiedSum, iv_add, iv_div_pos, iv_scale,
-                               tail_log_power_exp, tail_power_exp, upper_gamma)
+                               tail_log_power_exp, tail_power_exp, upper_gamma,
+                               upper_gamma_rel_err)
 
 mpmath.mp.dps = 40
 
@@ -46,6 +47,42 @@ def test_upper_gamma_matches_mpmath(s, x):
     assert mine == pytest.approx(ref, rel=1e-7)
 
 
+def check_upper_gamma(s, x):
+    v = upper_gamma(s, x)
+    ref = mpmath.gammainc(s, x, mpmath.inf)
+    assert v > 0
+    assert abs(v - ref) <= upper_gamma_rel_err(s, x) * ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(s=st.floats(-20.0, 3.0), x=st.floats(1e-10, 700.0))
+def test_upper_gamma_within_its_bound(s, x):
+    # below 1e-280 the value may leave the normal float range, where it is an
+    # upper bound only
+    assume(mpmath.gammainc(s, x, mpmath.inf) > mpmath.mpf("1e-280"))
+    check_upper_gamma(s, x)
+
+
+@pytest.mark.parametrize("s,x", [
+    (-15.2556, 512.5),  # the downward recurrence gave -5.0e-250 here; truth 2.3e-267
+    (-3.3, 40.0), (-1e-300, 1.0), (-0.5, 1.999), (1.0, 2.0), (3.0, 1.5), (-20.0, 1e-10),
+])
+def test_upper_gamma_regressions(s, x):
+    check_upper_gamma(s, x)
+
+
+def test_upper_gamma_bound_covers_integer_shifts():
+    for x in (1e-6, 0.3, 1.9, 2.0, 35.0, 650.0):
+        shifts = [upper_gamma_rel_err(-4.3 + j, x) for j in range(5)]
+        assert upper_gamma_rel_err(-4.3, x, steps=4) >= max(shifts)
+
+
+def test_upper_gamma_continued_fraction_converges_from_x_2():
+    # x = 2 is the slowest point of the continued fraction's range
+    for s in np.linspace(-60.0, 1.0, 6101):
+        assert upper_gamma(float(s), 2.0) > 0
+
+
 @pytest.mark.parametrize("a,rho,m", [
     (-4.2, -0.5, 16), (-4.2, -1e-8, 1024), (-3.0, -1e-5, 64),
     (-1.5, -1e-3, 128), (-1.4, -1e-6, 1024),
@@ -79,10 +116,12 @@ def test_log_tail_encloses_brute_force():
     for a, m in [(-3.0, 64), (-2.5, 1024)]:
         lo, hi = tail_log_power_exp(a, 0.0, m)
         assert lo <= -mpmath.zeta(-a, m, derivative=1) <= hi
-    # at rho = -1e-4 the cut leaves about e^-5000
+    # at rho = -1e-4 the cut leaves about e^-5000; summed in chunks of 1e6
     lo, hi = tail_log_power_exp(-1.5, -1e-4, 256)
-    n = np.arange(256, 50_000_000, dtype=np.float64)
-    total = float(np.sum(np.log(n) * n ** -1.5 * np.exp(-1e-4 * n)))
+    total = 0.0
+    for start in range(256, 50_000_000, 1_000_000):
+        n = np.arange(start, min(start + 1_000_000, 50_000_000), dtype=np.float64)
+        total += float(np.sum(np.log(n) * n ** -1.5 * np.exp(-1e-4 * n)))
     assert lo <= total <= hi
 
 
