@@ -132,8 +132,8 @@ def _cf_rel_err() -> float:
     taken to first order and widened by 1.01, which covers the cross terms.
     """
     n = 2 * _CF_PAIRS + 1
-    delta = (1.0 + _U) ** 3 / (1.0 - _U) - 1.0
-    e_n = ((1.0 + delta) / (1.0 - delta)) ** n * (1.0 + _U) ** (2 * n) - 1.0
+    delta = 4.0001 * _U  # (1+u)^3/(1-u) - 1; in logs, since 1 + u rounds to 1
+    e_n = math.expm1(n * (math.log1p(delta) - math.log1p(-delta)) + 2 * n * math.log1p(_U))
     return 1.01 * (e_n + _CF_STOP + _U + 6.0 * _U)
 
 
@@ -141,8 +141,9 @@ _CF_REL_ERR = _cf_rel_err()
 
 
 def _cf_upper_gamma(s: float, x: float) -> float:
-    """Gamma(s, x) for s <= 1 and x >= _CF_FROM by modified Lentz on the
-    Legendre continued fraction (see _cf_rel_err).
+    """Gamma(s, x) for s <= 1 and x >= _CF_FROM by Lentz's method on the
+    Legendre continued fraction (see _cf_rel_err).  Its elements are
+    positive, so no denominator can vanish and C starts at infinity.
 
     Where x^s e^-x falls so low that Gamma(s, x) could leave the normal float
     range, this returns the upper bound 2 x^(s-1) e^-x instead (the first
@@ -317,7 +318,7 @@ def upper_gamma_rel_err(s: float, x: float, steps: int = 0) -> float:
             e = 1.0
         else:
             e = _CF_REL_ERR
-        err = max(err, e + 2.01 * _U * m)
+        err = max(err, max(e, 5.0 * _U) + 2.01 * _U * m)
     return err
 
 
