@@ -287,10 +287,9 @@ def upper_gamma(s: float, x: float) -> float:
     else:
         g = _cf_upper_gamma(sigma, x)
     # every term of the upward recurrence is positive, so nothing cancels
-    ex = math.exp(-x)
     for j in range(m):
         sj = sigma + j
-        g = sj * g + x ** sj * ex
+        g = sj * g + x ** sj * math.exp(-x)
     return g
 
 
