@@ -714,26 +714,17 @@ def finite_truncation(model: RenewalModel, t: float, n_max: int):
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     log_w = model.log_mult(ns) + t * model.s_values(ns)
     n_vertices = 1 + int(np.sum(ns[1:] - 1))
-    rows, cols = [0], [0]  # base self-loop = level 1
+    # level n's chain holds vertices first[n] .. first[n] + n - 2
+    first = 1 + np.concatenate([[0], np.cumsum(ns[1:-1] - 1)])
+    last = first + ns[1:] - 2
+    chain = np.arange(1, n_vertices)
+    succ = chain + 1
+    succ[last - 1] = 0  # each chain returns to the base
+    shift = FiniteShift.from_edges(
+        n_vertices, np.concatenate([np.zeros(n_max, dtype=np.int64), chain]),
+        np.concatenate([[0], first, succ]))  # base self-loop = level 1
     phi = np.zeros(n_vertices)
     phi[0] = log_w[0]
-    nxt = 1
-    for n in range(2, n_max + 1):
-        first = nxt
-        chain = list(range(first, first + n - 1))
-        nxt = first + n - 1
-        rows.append(0)
-        cols.append(chain[0])
-        for a, b in zip(chain, chain[1:]):
-            rows.append(a)
-            cols.append(b)
-        rows.append(chain[-1])
-        cols.append(0)
-        phi[chain[0]] = log_w[n - 1] - log_w[0]
-    import scipy.sparse as sp  # only finite-shift code loads scipy
-
-    data = np.ones(len(rows), dtype=np.int8)
-    trans = sp.csr_matrix((data, (rows, cols)), shape=(n_vertices, n_vertices))
-    shift = FiniteShift(n_vertices, trans)
+    phi[first] = log_w[1:] - log_w[0]
     potential = LocallyConstantPotential(1, {(i,): float(phi[i]) for i in range(n_vertices)})
     return shift, potential

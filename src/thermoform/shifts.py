@@ -1,91 +1,137 @@
 """Finite Markov shifts: words, admissibility, periodic orbits, Birkhoff sums.
 
 Symbols are 0-based integers.  Transition matrices are 0/1 with entry (i, j)
-equal to 1 iff symbol j may follow symbol i.  Small alphabets use dense numpy
-arrays; large synthetic graphs (loop realizations of renewal structures) may
-pass a scipy.sparse matrix instead.
+equal to 1 iff symbol j may follow symbol i.  A shift stores them once, as
+CSR index arrays (`indptr`, and the successors of each symbol in increasing
+order), built from a dense 0/1 array or, for large synthetic graphs such as
+the loop realizations of renewal structures, from an edge list.
+`bfs_levels` walks that graph level by level with whole-frontier gathers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-import sys
 
 import numpy as np
 
 Word = tuple[int, ...]
 
-
-def _is_sparse(mat) -> bool:
-    # a sparse matrix can only exist once scipy.sparse is loaded, so dense
-    # callers never pay for importing it
-    sp = sys.modules.get("scipy.sparse")
-    return sp is not None and sp.issparse(mat)
+DENSE_LIMIT = 4096  # largest alphabet dense() materializes (16 MB as int8)
 
 
-@dataclass(frozen=True)
+def csr_indptr(sources: np.ndarray, n: int) -> np.ndarray:
+    """Row pointers of the CSR digraph on n vertices whose edges are listed
+    with their sources in nondecreasing order."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int,
+               allowed: np.ndarray | None = None) -> np.ndarray:
+    """Breadth-first distance from `start` in a CSR digraph; -1 where unreached.
+
+    Each level expands the whole frontier at once: one gather of its
+    successor lists, then np.unique.  With `allowed` (a boolean mask) the
+    walk stays on allowed vertices.
+    """
+    level = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    level[start] = 0
+    frontier = np.array([start], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        begin = indptr[frontier]
+        counts = indptr[frontier + 1] - begin
+        offsets = np.cumsum(counts) - counts
+        nxt = np.unique(indices[np.arange(int(counts.sum()))
+                                + np.repeat(begin - offsets, counts)])
+        nxt = nxt[level[nxt] < 0]
+        if allowed is not None:
+            nxt = nxt[allowed[nxt]]
+        level[nxt] = depth
+        frontier = nxt
+    return level
+
+
 class FiniteShift:
     """A finite Markov shift given by its alphabet size and transition matrix.
 
     The matrix must be square 0/1 with no all-zero row and no all-zero
     column, so every symbol has at least one successor and one predecessor.
+    `FiniteShift(m, matrix)` takes a dense 0/1 array; `from_edges` takes the
+    allowed transitions as source and target arrays.
     """
 
-    alphabet_size: int
-    transitions: object  # (m, m) ndarray of 0/1, or scipy.sparse
+    def __init__(self, alphabet_size: int, transitions):
+        m = alphabet_size
+        t = np.asarray(transitions)
+        if t.shape != (m, m):
+            raise ValueError("transition matrix shape mismatch")
+        if not np.all((t == 0) | (t == 1)):
+            raise ValueError("transition entries must be 0 or 1")
+        self._set(m, *np.nonzero(t))  # row-major, so sorted by (source, target)
 
-    def __post_init__(self):
-        m = self.alphabet_size
+    @classmethod
+    def from_edges(cls, alphabet_size: int, sources, targets) -> "FiniteShift":
+        """The shift whose allowed transitions are sources[e] -> targets[e]."""
+        m = alphabet_size
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        if src.shape != dst.shape or src.ndim != 1:
+            raise ValueError("sources and targets must be 1-d arrays of one length")
+        if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= m):
+            raise ValueError("edge endpoint outside the alphabet")
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        if np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
+            raise ValueError("transition entries must be 0 or 1 (repeated edge)")
+        shift = cls.__new__(cls)
+        shift._set(m, src, dst)
+        return shift
+
+    def _set(self, m: int, sources: np.ndarray, targets: np.ndarray) -> None:
         if m < 1:
             raise ValueError("alphabet_size must be >= 1")
-        t = self.transitions
-        if _is_sparse(t):
-            t = t.tocsr()
-            t.eliminate_zeros()
-            if t.shape != (m, m):
-                raise ValueError("transition matrix shape mismatch")
-            if t.nnz and not np.all(t.data == 1):
-                raise ValueError("transition entries must be 0 or 1")
-            row = np.asarray(t.sum(axis=1)).ravel()
-            col = np.asarray(t.sum(axis=0)).ravel()
-            object.__setattr__(self, "transitions", t)
-        else:
-            t = np.asarray(t)
-            if t.shape != (m, m):
-                raise ValueError("transition matrix shape mismatch")
-            if not np.all((t == 0) | (t == 1)):
-                raise ValueError("transition entries must be 0 or 1")
-            t = t.astype(np.int8)
-            row = t.sum(axis=1)
-            col = t.sum(axis=0)
-            object.__setattr__(self, "transitions", t)
-        if np.any(row == 0):
+        indptr, indices = csr_indptr(sources, m), targets.astype(np.int64)
+        if np.any(np.diff(indptr) == 0):
             raise ValueError("transition matrix has an all-zero row")
-        if np.any(col == 0):
+        if np.any(np.bincount(indices, minlength=m) == 0):
             raise ValueError("transition matrix has an all-zero column")
+        for a in (indptr, indices):
+            a.flags.writeable = False
+        self.alphabet_size = m
+        self.indptr = indptr
+        self.indices = indices
+
+    def __repr__(self) -> str:
+        return f"FiniteShift({self.alphabet_size}, {len(self.indices)} transitions)"
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def is_sparse(self) -> bool:
-        return _is_sparse(self.transitions)
+    def successors(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def allows(self, i: int, j: int) -> bool:
-        if self.is_sparse:
-            return bool(self.transitions[i, j])
-        return bool(self.transitions[i][j])
+        row = self.successors(i)
+        k = int(np.searchsorted(row, j))
+        return k < len(row) and int(row[k]) == j
 
-    def successors(self, i: int) -> np.ndarray:
-        if self.is_sparse:
-            t = self.transitions
-            return t.indices[t.indptr[i]:t.indptr[i + 1]]
-        return np.nonzero(self.transitions[i])[0]
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """All transitions as (sources, targets), sorted by (source, target)."""
+        counts = np.diff(self.indptr)
+        return np.repeat(np.arange(self.alphabet_size), counts), self.indices
 
     def dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.transitions.todense(), dtype=np.int8)
-        return self.transitions
+        """The (m, m) 0/1 int8 matrix; refused above DENSE_LIMIT symbols."""
+        m = self.alphabet_size
+        if m > DENSE_LIMIT:
+            raise ValueError(f"dense transition matrix refused for {m} > {DENSE_LIMIT}"
+                             " symbols; walk the CSR arrays instead")
+        t = np.zeros((m, m), dtype=np.int8)
+        t[self.edges()] = 1
+        return t
 
 
 def full_shift(m: int) -> FiniteShift:
@@ -123,11 +169,10 @@ def cycle_shift(m: int) -> FiniteShift:
 
 def disjoint_union(a: FiniteShift, b: FiniteShift) -> FiniteShift:
     """Block-diagonal union; symbols of b are relabelled after a's."""
-    ma, mb = a.alphabet_size, b.alphabet_size
-    t = np.zeros((ma + mb, ma + mb), dtype=np.int8)
-    t[:ma, :ma] = a.dense()
-    t[ma:, ma:] = b.dense()
-    return FiniteShift(ma + mb, t)
+    (sa, ta), (sb, tb) = a.edges(), b.edges()
+    ma = a.alphabet_size
+    return FiniteShift.from_edges(ma + b.alphabet_size, np.concatenate([sa, sb + ma]),
+                                  np.concatenate([ta, tb + ma]))
 
 
 @dataclass(frozen=True)
@@ -218,8 +263,6 @@ def is_topologically_mixing(shift: FiniteShift, n_max: int = 64) -> MixingVerdic
     """Search for the smallest N <= n_max with T^N all-positive (Boolean)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if shift.is_sparse and shift.alphabet_size > 4096:
-        raise ValueError("mixing scan is for small alphabets; use component analysis")
     base = shift.dense().astype(bool)
     power = base.copy()
     for n in range(1, n_max + 1):

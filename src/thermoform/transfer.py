@@ -6,33 +6,37 @@ Then T h = lambda h recovers the density h, m T = lambda m the conformal
 weights m, lambda = e^P, and trace(T^n) equals the period-n orbit sum of
 exp of the Birkhoff sums.
 
-scipy.sparse is imported inside the functions that build or walk these
-matrices, so importing the package does not load scipy.
+A matrix is three numpy arrays, rows, cols and vals, in CSR order (by row,
+then column).  T x is np.bincount(rows, weights=vals * x[cols]), which adds
+each row's products in column order starting from zero, as a CSR product
+does; x T is the same call on the entries reordered by column.  Primitivity
+and components come from breadth-first levels (shifts.bfs_levels): a graph
+is strongly connected when the forward and the backward walk from one
+vertex reach every vertex, and its period is the gcd of
+level[u] + 1 - level[v] over its edges u -> v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, NotMixingError
 from .renewal import NON_UNIQUE, POSITIVE_RECURRENT, PressureCurve, check_curve
-from .shifts import (FiniteShift, LocallyConstantPotential,
-                     enumerate_admissible_words, is_admissible,
-                     is_topologically_mixing)
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .shifts import (DENSE_LIMIT, FiniteShift, LocallyConstantPotential,
+                     bfs_levels, csr_indptr, enumerate_admissible_words,
+                     is_admissible, is_topologically_mixing)
 
 
 @dataclass(frozen=True)
 class TransferMatrix:
     states: list  # admissible level-words
     index: dict
-    matrix: object  # csr_matrix, column = source state
+    rows: np.ndarray  # target state of each entry, entries in CSR order
+    cols: np.ndarray  # source state
+    vals: np.ndarray  # exp(phi(source))
     shift: FiniteShift
     potential: LocallyConstantPotential
     level: int
@@ -41,14 +45,17 @@ class TransferMatrix:
     def size(self) -> int:
         return len(self.states)
 
-    def trace_power(self, n: int) -> float:
-        import scipy.sparse as sp
+    def dense(self) -> np.ndarray:
+        """The (size, size) float matrix; refused above DENSE_LIMIT states."""
+        if self.size > DENSE_LIMIT:
+            raise ValueError(f"dense transfer matrix refused for {self.size} > "
+                             f"{DENSE_LIMIT} states")
+        out = np.zeros((self.size, self.size))
+        out[self.rows, self.cols] = self.vals
+        return out
 
-        p = self.matrix
-        out = sp.identity(self.size, format="csr")
-        for _ in range(n):
-            out = out @ p
-        return float(out.diagonal().sum())
+    def trace_power(self, n: int) -> float:
+        return float(np.trace(np.linalg.matrix_power(self.dense(), n)))
 
 
 def build_transfer_matrix(shift: FiniteShift, potential: LocallyConstantPotential,
@@ -62,19 +69,17 @@ def build_transfer_matrix(shift: FiniteShift, potential: LocallyConstantPotentia
         level = k
     if level < k:
         raise ValueError("cylinder level must be >= potential depth")
-    import scipy.sparse as sp
 
     if level == 1:
         # fast path: states are the symbols themselves
         m = shift.alphabet_size
-        if m == 0:
-            raise ValueError("empty state set")
         states = [(i,) for i in range(m)]
-        weights = np.array([potential((i,)) for i in range(m)], dtype=float)
-        adj = shift.transitions if shift.is_sparse else sp.csr_matrix(shift.dense())
-        mat = adj.multiply(np.exp(weights)[:, None]).T.tocsr()
+        weights = np.exp(np.array([potential((i,)) for i in range(m)], dtype=float))
+        src, dst = shift.edges()
+        by_target = np.argsort(dst, kind="stable")  # sources stay sorted within a target
+        src, dst = src[by_target], dst[by_target]
         return TransferMatrix(states, {s: i for i, s in enumerate(states)},
-                              mat, shift, potential, 1)
+                              dst, src, weights[src], shift, potential, 1)
 
     states = enumerate_admissible_words(shift, level)
     if not states:
@@ -91,8 +96,10 @@ def build_transfer_matrix(shift: FiniteShift, potential: LocallyConstantPotentia
                 rows.append(ri)
                 cols.append(ci)
                 vals.append(weight)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
-    return TransferMatrix(states, index, mat, shift, potential, level)
+    rows = np.array(rows, dtype=np.int64)
+    by_row = np.argsort(rows, kind="stable")  # cols were appended in increasing order
+    return TransferMatrix(states, index, rows[by_row], np.array(cols, dtype=np.int64)[by_row],
+                          np.array(vals, dtype=float)[by_row], shift, potential, level)
 
 
 @dataclass(frozen=True)
@@ -109,54 +116,33 @@ class RPFSolution:
     matrix: TransferMatrix
 
 
-def _graph_period(adj: sp.csr_matrix) -> int:
-    """Period (gcd of cycle lengths) of a strongly connected digraph."""
-    n = adj.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.indices[adj.indptr[u]:adj.indptr[u + 1]]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    coo = adj.tocoo()
-    for u, v in zip(coo.row, coo.col):
-        g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
-        if g == 1:
-            return 1
-    return g
-
-
-def _check_primitive(mat: sp.csr_matrix) -> None:
-    from scipy.sparse.csgraph import connected_components
-
-    adj = (mat != 0).astype(np.int8).tocsr()
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    if n_comp != 1:
+def _check_primitive(tm: TransferMatrix) -> None:
+    nonzero = tm.vals != 0  # an underflowed weight is no edge
+    rows, cols = tm.rows[nonzero], tm.cols[nonzero]
+    n = tm.size
+    by_col = np.argsort(cols, kind="stable")
+    level = bfs_levels(csr_indptr(rows, n), cols, 0)
+    back = bfs_levels(csr_indptr(cols[by_col], n), rows[by_col], 0)
+    if np.any(level < 0) or np.any(back < 0):
         raise NotMixingError(
-            f"transfer graph has {n_comp} strongly connected components; "
-            "use decompose_components")
-    if _graph_period(adj) != 1:
+            "transfer graph is not strongly connected; use decompose_components")
+    if np.gcd.reduce(level[rows] + 1 - level[cols]) != 1:
         raise NotMixingError(
             "transfer graph is periodic (not topologically mixing); "
             "use decompose_components")
 
 
-def _power_iterate(mat: sp.csr_matrix, tol: float, max_iter: int):
-    n = mat.shape[0]
-    mat_t = mat.T.tocsr()
+def _power_iterate(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   tol: float, max_iter: int):
+    by_col = np.argsort(cols, kind="stable")
+    t_rows, t_cols, t_vals = cols[by_col], rows[by_col], vals[by_col]
     h = np.full(n, 1.0)
     m = np.full(n, 1.0)
     lam = 1.0
     res = math.inf
     for it in range(1, max_iter + 1):
-        th = mat @ h
-        tm = mat_t @ m
+        th = np.bincount(rows, weights=vals * h[cols], minlength=n)
+        tm = np.bincount(t_rows, weights=t_vals * m[t_cols], minlength=n)
         lam = float(m @ th) / float(m @ h)
         scale = max(lam, 1.0)
         res = max(float(np.max(np.abs(th - lam * h))),
@@ -177,8 +163,9 @@ def solve_rpf(tmatrix: TransferMatrix, tol: float = 1e-12,
     Raises NotMixingError for reducible/periodic inputs and ConvergenceError
     when the residual cap is hit.
     """
-    _check_primitive(tmatrix.matrix)
-    lam, h, m, res, it = _power_iterate(tmatrix.matrix, tol, max_iter)
+    _check_primitive(tmatrix)
+    lam, h, m, res, it = _power_iterate(tmatrix.size, tmatrix.rows, tmatrix.cols,
+                                        tmatrix.vals, tol, max_iter)
     m = m / m.sum()
     mu = h * m
     mu = mu / mu.sum()
@@ -234,6 +221,7 @@ class ComponentSolution:
     symbols: list[int]  # original symbols of the component
     pressure: float
     solution: RPFSolution | None  # None for a periodic component (root via T+I)
+    residual: float  # power-iteration residual, of T + I for a periodic component
 
 
 @dataclass(frozen=True)
@@ -251,21 +239,32 @@ def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) ->
     """The t-independent part of decompose_components: per strongly connected
     component that carries a cycle, its symbols, its sub-shift (symbols
     relabelled 0..k-1) and the potential relabelled onto it.
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
 
-    adj = sp.csr_matrix(shift.dense()) if not shift.is_sparse else shift.transitions
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    if n_comp == 1:
-        return [(list(range(shift.alphabet_size)), shift, potential)]
+    The component of the smallest unassigned symbol is its forward reach
+    intersected with its backward reach, both walked over unassigned symbols
+    only, so components come out sorted by their first symbol.
+    """
+    m = shift.alphabet_size
+    src, dst = shift.edges()
+    by_target = np.argsort(dst, kind="stable")
+    back_indptr, back_indices = csr_indptr(dst[by_target], m), src[by_target]
+    free = np.ones(m, dtype=bool)
     comps = []
-    for c in range(n_comp):
-        symbols = [int(i) for i in np.nonzero(labels == c)[0]]
-        sub = adj[np.ix_(symbols, symbols)]
-        if sub.nnz == 0:
+    for first in range(m):
+        if not free[first]:
+            continue
+        comp = ((bfs_levels(shift.indptr, shift.indices, first, free) >= 0)
+                & (bfs_levels(back_indptr, back_indices, first, free) >= 0))
+        free &= ~comp
+        if first == 0 and not free.any():
+            return [(list(range(m)), shift, potential)]
+        inner = comp[src] & comp[dst]
+        if not inner.any():
             continue  # wandering symbol, no invariant mass
-        sub_shift = FiniteShift(len(symbols), np.asarray(sub.todense()))
+        symbols = [int(i) for i in np.nonzero(comp)[0]]
+        new_label = np.cumsum(comp) - 1
+        sub_shift = FiniteShift.from_edges(len(symbols), new_label[src[inner]],
+                                           new_label[dst[inner]])
         relabel = {orig: new for new, orig in enumerate(symbols)}
         vals = {tuple(relabel[s] for s in w): v for w, v in potential.values.items()
                 if all(s in relabel for s in w)}
@@ -273,8 +272,21 @@ def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) ->
         comps.append((symbols, sub_shift,
                       LocallyConstantPotential(potential.depth, vals, sub_shift)))
     # nonempty: every symbol has a successor, so some component carries a cycle
-    comps.sort(key=lambda c: c[0][0])
     return comps
+
+
+def _plus_identity(tm: TransferMatrix):
+    """(rows, cols, vals) of T + I in CSR order."""
+    diag = tm.rows == tm.cols
+    vals = tm.vals.copy()
+    vals[diag] += 1.0
+    missing = np.ones(tm.size, dtype=bool)
+    missing[tm.rows[diag]] = False
+    new = np.nonzero(missing)[0]
+    rows = np.concatenate([tm.rows, new])
+    cols = np.concatenate([tm.cols, new])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], np.concatenate([vals, np.ones(len(new))])[order]
 
 
 def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential,
@@ -288,8 +300,6 @@ def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential
     maximizers, which is how non-uniqueness of the equilibrium state shows up
     for non-mixing inputs.
     """
-    import scipy.sparse as sp
-
     if components is None:
         components = cycle_components(shift, potential)
     comps: list[ComponentSolution] = []
@@ -297,11 +307,10 @@ def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential
         tm = build_transfer_matrix(sub_shift, sub_pot.scaled(t))
         try:
             sol = solve_rpf(tm, tol=tol, max_iter=max_iter)
-            comps.append(ComponentSolution(symbols, sol.pressure, sol))
+            comps.append(ComponentSolution(symbols, sol.pressure, sol, sol.residual))
         except NotMixingError:  # periodic: T + I is primitive, with Perron root 1 + root of T
-            shifted = (tm.matrix + sp.identity(tm.size, format="csr")).tocsr()
-            lam = _power_iterate(shifted, tol, max_iter)[0]
-            comps.append(ComponentSolution(symbols, math.log(lam - 1.0), None))
+            lam, _, _, res, _ = _power_iterate(tm.size, *_plus_identity(tm), tol, max_iter)
+            comps.append(ComponentSolution(symbols, math.log(lam - 1.0), None, res))
     pressures = np.array([c.pressure for c in comps])
     total = float(pressures.max())
     maximizers = [i for i, p in enumerate(pressures) if p >= total - 1e-9]
@@ -317,8 +326,9 @@ def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotentia
     Where several components tie for the maximum the equilibrium state is not
     unique and Dp is undefined; otherwise Dp is the equilibrium average of the
     potential on the maximizing component (nan for a periodic one).  The
-    enclosure width is the RPF residual on a mixing shift and 0 on a
-    component maximum.
+    enclosure width is the maximizing component's power-iteration residual
+    (the largest one where components tie); on a mixing shift that is the
+    RPF residual.
     """
     ts = np.asarray(list(t_grid), dtype=float)
     parts = cycle_components(shift, potential)
@@ -336,8 +346,7 @@ def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotentia
             phi = np.array([potential(tuple(comp.symbols[s] for s in w[:potential.depth]))
                             for w in comp.solution.matrix.states])
             ders[i] = float(comp.solution.mu @ phi)
-        if mixing:
-            widths[i] = comp.solution.residual
+        widths[i] = max(dec.components[j].residual for j in dec.maximizers)
     ps = np.array([dec.pressure for dec in decs])
     check_curve(ts, ps)
     unique = [dec.unique_maximizer for dec in decs]

@@ -24,13 +24,13 @@ def bernoulli_setup(p):
 def test_build_matrix_full_shift_zero():
     shift = full_shift(2)
     tm = build_transfer_matrix(shift, LocallyConstantPotential.constant(shift, 0.0))
-    assert np.allclose(tm.matrix.toarray(), np.ones((2, 2)))
+    assert np.allclose(tm.dense(), np.ones((2, 2)))
 
 
 def test_build_matrix_bernoulli_columns():
     shift, pot = bernoulli_setup(0.3)
     tm = build_transfer_matrix(shift, pot)
-    dense = tm.matrix.toarray()
+    dense = tm.dense()
     # column = source state, scaled by exp(potential at the source)
     assert np.allclose(dense[:, 0], 0.3)
     assert np.allclose(dense[:, 1], 0.7)
@@ -39,7 +39,7 @@ def test_build_matrix_bernoulli_columns():
 def test_build_matrix_renewal_pattern():
     shift = renewal_shift(6)
     tm = build_transfer_matrix(shift, LocallyConstantPotential.constant(shift, 0.0))
-    assert np.allclose(tm.matrix.toarray(), shift.dense().T)
+    assert np.allclose(tm.dense(), shift.dense().T)
 
 
 def test_trace_equals_periodic_sum():
@@ -89,7 +89,7 @@ def test_rpf_duality_residuals():
     shift, pot = bernoulli_setup(0.25)
     tol = 1e-12
     sol = solve_rpf(build_transfer_matrix(shift, pot), tol=tol)
-    tm = sol.matrix.matrix
+    tm = sol.matrix.dense()
     lam = math.exp(sol.pressure)
     assert np.max(np.abs(tm @ sol.h - lam * sol.h)) <= tol * max(lam, 1) * 2
     assert np.max(np.abs(sol.m @ tm - lam * sol.m)) <= tol * max(lam, 1) * 2
@@ -106,7 +106,7 @@ def test_rpf_rejects_nonmixing():
 
 def chain_entropy(sol):
     """Entropy of the equilibrium chain plus potential average (oracle)."""
-    tm = sol.matrix.matrix.toarray()
+    tm = sol.matrix.dense()
     lam = math.exp(sol.pressure)
     size = tm.shape[0]
     ent = 0.0
