@@ -714,7 +714,7 @@ def finite_truncation(model: RenewalModel, t: float, n_max: int):
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     log_w = model.log_mult(ns) + t * model.s_values(ns)
     n_vertices = 1 + int(np.sum(ns[1:] - 1))
-    # level n's chain holds vertices first[n] .. first[n] + n - 2
+    # level n's chain of n - 1 vertices runs from first[n - 2] to last[n - 2]
     first = 1 + np.concatenate([[0], np.cumsum(ns[1:-1] - 1)])
     last = first + ns[1:] - 2
     chain = np.arange(1, n_vertices)

@@ -28,13 +28,11 @@ def csr_indptr(sources: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
-def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int,
-               allowed: np.ndarray | None = None) -> np.ndarray:
+def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
     """Breadth-first distance from `start` in a CSR digraph; -1 where unreached.
 
     Each level expands the whole frontier at once: one gather of its
-    successor lists, then np.unique.  With `allowed` (a boolean mask) the
-    walk stays on allowed vertices.
+    successor lists, then np.unique.
     """
     level = np.full(len(indptr) - 1, -1, dtype=np.int64)
     level[start] = 0
@@ -48,8 +46,6 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int,
         nxt = np.unique(indices[np.arange(int(counts.sum()))
                                 + np.repeat(begin - offsets, counts)])
         nxt = nxt[level[nxt] < 0]
-        if allowed is not None:
-            nxt = nxt[allowed[nxt]]
         level[nxt] = depth
         frontier = nxt
     return level

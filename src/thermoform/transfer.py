@@ -116,17 +116,24 @@ class RPFSolution:
     matrix: TransferMatrix
 
 
-def _check_primitive(tm: TransferMatrix) -> None:
-    nonzero = tm.vals != 0  # an underflowed weight is no edge
-    rows, cols = tm.rows[nonzero], tm.cols[nonzero]
-    n = tm.size
+def _strong_period(n: int, rows: np.ndarray, cols: np.ndarray) -> int:
+    """Period (gcd of cycle lengths) of the digraph on n vertices with edges
+    rows[e] -> cols[e], listed by row; 0 if it is not strongly connected."""
     by_col = np.argsort(cols, kind="stable")
     level = bfs_levels(csr_indptr(rows, n), cols, 0)
     back = bfs_levels(csr_indptr(cols[by_col], n), rows[by_col], 0)
     if np.any(level < 0) or np.any(back < 0):
+        return 0
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
+
+
+def _check_primitive(tm: TransferMatrix) -> None:
+    nonzero = tm.vals != 0  # an underflowed weight is no edge
+    period = _strong_period(tm.size, tm.rows[nonzero], tm.cols[nonzero])
+    if period == 0:
         raise NotMixingError(
             "transfer graph is not strongly connected; use decompose_components")
-    if np.gcd.reduce(level[rows] + 1 - level[cols]) != 1:
+    if period != 1:
         raise NotMixingError(
             "transfer graph is periodic (not topologically mixing); "
             "use decompose_components")
@@ -241,8 +248,8 @@ def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) ->
     relabelled 0..k-1) and the potential relabelled onto it.
 
     The component of the smallest unassigned symbol is its forward reach
-    intersected with its backward reach, both walked over unassigned symbols
-    only, so components come out sorted by their first symbol.
+    intersected with its backward reach, so components come out sorted by
+    their first symbol.
     """
     m = shift.alphabet_size
     src, dst = shift.edges()
@@ -253,8 +260,8 @@ def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) ->
     for first in range(m):
         if not free[first]:
             continue
-        comp = ((bfs_levels(shift.indptr, shift.indices, first, free) >= 0)
-                & (bfs_levels(back_indptr, back_indices, first, free) >= 0))
+        comp = ((bfs_levels(shift.indptr, shift.indices, first) >= 0)
+                & (bfs_levels(back_indptr, back_indices, first) >= 0))
         free &= ~comp
         if first == 0 and not free.any():
             return [(list(range(m)), shift, potential)]

@@ -340,18 +340,32 @@ def test_console_entry_point(tmp_path):
     assert "grid-dfu" in proc.stdout
 
 
-def test_renewal_runs_load_no_scipy(tmp_path):
-    # scipy is only for finite shifts; renewal and interval-map runs skip it
+def test_no_run_loads_scipy(tmp_path):
+    # renewal, finite-shift and truncation runs all stay on numpy
     config = {"model": "renewal", "renewal": {"family": "grid", "gamma": 3.0},
               "task": {"classify": {"t": 1.0}}}
     proc = run_child("-c", f"""
 import sys
+import numpy as np
+import thermoform as tf
 import thermoform.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
 cli.run_config({config!r}, {str(tmp_path / "r")!r})
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(scipy_modules())
+cli.run_config({nonmixing_config()!r}, {str(tmp_path / "f")!r})
+s = lambda n: -np.asarray(n, dtype=float)
+model = tf.RenewalModel(s, tf.TailEnvelope(-1.0, 0.0, 0.0, 0.0, 1), 0.0, 0.0, 0.0, 0.0, "geom")
+shift, pot = tf.finite_truncation(model, 0.3, 200)
+tf.solve_rpf(tf.build_transfer_matrix(shift, pot), tol=1e-13)
+print(scipy_modules())
 """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    renewal, finite = proc.stdout.splitlines()[-2:]
+    assert renewal == "[]"
+    assert finite == "[]"
 
 
 def test_finite_shift_curve_runs_in_a_fresh_process(tmp_path):

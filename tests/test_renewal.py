@@ -15,6 +15,7 @@ from thermoform import (EnvelopeError, IndeterminateError, RenewalModel,
                         NULL_RECURRENT, POSITIVE_RECURRENT, TRANSIENT,
                         FIRST_ORDER, C1)
 from thermoform import sequences as sq
+from thermoform.transfer import cycle_components
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -311,6 +312,32 @@ def test_finite_truncation_monotone_to_root():
         assert prev - 1e-13 <= sol.pressure <= target + 1e-12
         prev = sol.pressure
     assert target - prev <= 1e-6
+
+
+def test_finite_truncation_pressures_rise_to_the_closed_form():
+    model = geometric_model(1.0)
+    t = 0.3
+    pressures = []
+    for n_max in (50, 100, 200, 400):
+        shift, pot = finite_truncation(model, t, n_max)
+        pressures.append(solve_rpf(build_transfer_matrix(shift, pot), tol=1e-13).pressure)
+    # past depth ~100 the truncations agree with the root to rounding
+    assert all(b >= a - 1e-13 for a, b in zip(pressures, pressures[1:]))
+    assert abs(pressures[-1] - (LOG2 - t)) <= 1e-4
+
+
+def test_large_truncation_never_goes_dense():
+    shift, pot = finite_truncation(geometric_model(1.0), 0.3, 100)
+    assert shift.alphabet_size == 4951
+    with pytest.raises(ValueError):
+        shift.dense()
+    # components and primitivity walk the CSR arrays
+    parts = cycle_components(shift, pot)
+    assert len(parts) == 1 and parts[0][1] is shift
+    tm = build_transfer_matrix(shift, pot)
+    with pytest.raises(ValueError):
+        tm.dense()
+    assert abs(solve_rpf(tm, tol=1e-13).pressure - (LOG2 - 0.3)) <= 1e-12
 
 
 def test_envelope_validation_rejects_lies():

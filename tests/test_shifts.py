@@ -20,6 +20,25 @@ def test_shift_validation():
         FiniteShift(0, np.zeros((0, 0)))
 
 
+def test_edge_list_matches_dense_matrix():
+    t = np.array([[0, 1, 1], [1, 0, 0], [0, 1, 1]])
+    rows, cols = np.nonzero(t)
+    order = [4, 0, 3, 1, 2]  # any edge order
+    shift = FiniteShift.from_edges(3, rows[order], cols[order])
+    dense = FiniteShift(3, t)
+    assert np.array_equal(shift.indptr, dense.indptr)
+    assert np.array_equal(shift.indices, dense.indices)
+    assert np.array_equal(shift.dense(), t)
+    assert [list(shift.successors(i)) for i in range(3)] == [[1, 2], [0], [1, 2]]
+    assert shift.allows(0, 2) and not shift.allows(1, 2)
+    with pytest.raises(ValueError):
+        FiniteShift.from_edges(2, [0, 0, 1], [1, 1, 0])  # repeated edge
+    with pytest.raises(ValueError):
+        FiniteShift.from_edges(2, [0, 1], [1, 2])  # target outside the alphabet
+    with pytest.raises(ValueError):
+        FiniteShift.from_edges(2, [0, 1], [1, 1])  # symbol 0 has no predecessor
+
+
 def test_admissibility_full_shift():
     assert is_admissible((0, 1, 0), full_shift(2))
 

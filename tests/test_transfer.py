@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from thermoform import (FiniteShift, LocallyConstantPotential, NotMixingError,
                         enumerate_periodic_words, full_shift,
                         gibbs_constant_check, golden_mean_shift,
                         pressure_curve_finite, renewal_shift, solve_rpf)
+from thermoform.transfer import _strong_period, cycle_components
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -208,3 +210,119 @@ def test_decompose_handles_periodic_component():
     cyc = cycle_shift(2)
     dec = decompose_components(cyc, LocallyConstantPotential.constant(cyc, 0.0))
     assert dec.pressure == pytest.approx(0.0, abs=1e-10)
+
+
+def test_periodic_component_reports_its_residual():
+    cyc = cycle_shift(3)
+    pot = LocallyConstantPotential.from_symbol_values(cyc, [-0.4, 0.3, -1.2])
+    comp = decompose_components(cyc, pot, tol=1e-12).components[0]
+    assert comp.solution is None
+    # the T + I iteration runs at the Perron root 1 + e^P
+    assert 0.0 <= comp.residual <= 1e-12 * (1.0 + math.exp(comp.pressure))
+
+
+def two_component_setup():
+    """Components {0, 1} and {2, 3, 4}, both aperiodic, unequal pressures."""
+    shift = FiniteShift(5, np.array([[1, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 1, 0],
+                                     [0, 0, 0, 0, 1], [0, 0, 1, 0, 0]]))
+    pot = LocallyConstantPotential.from_symbol_values(shift, [-0.3, -1.1, -0.2, -0.7, -1.3])
+    return shift, pot
+
+
+def test_nonmixing_curve_reports_the_maximizer_residual():
+    shift, pot = two_component_setup()
+    ts = [-1.0, 0.0, 1.0, 2.0]
+    curve, mixing = pressure_curve_finite(shift, pot, ts)
+    assert mixing is False
+    for t, width in zip(ts, curve.enclosure_widths):
+        dec = decompose_components(shift, pot, t=t)
+        assert dec.unique_maximizer
+        assert width == dec.components[dec.maximizers[0]].residual
+    # at t = 1 the maximizer's residual is nonzero; it used to read 0
+    assert 0.0 < curve.enclosure_widths[2] <= 1e-11
+
+
+# -- graph code against plain-Python references -----------------------------
+
+@st.composite
+def digraphs(draw):
+    """0/1 matrices on 1-8 vertices with no empty row and no empty column."""
+    n = draw(st.integers(1, 8))
+    density = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    bits = draw(st.lists(st.floats(0, 1), min_size=n * n, max_size=n * n))
+    t = (np.array(bits).reshape(n, n) < density).astype(np.int8)
+    for i in range(n):
+        if not t[i].any():
+            t[i, draw(st.integers(0, n - 1))] = 1
+    for j in range(n):
+        if not t[:, j].any():
+            t[draw(st.integers(0, n - 1)), j] = 1
+    return t
+
+
+def closure_components(t):
+    """Cycle-carrying strongly connected components from a Boolean closure."""
+    n = len(t)
+    reach = np.eye(n, dtype=bool) | t.astype(bool)
+    for k in range(n):  # Warshall
+        reach |= reach[:, [k]] & reach[[k], :]
+    comps, seen = [], set()
+    for i in range(n):
+        if i in seen:
+            continue
+        comp = [j for j in range(n) if reach[i, j] and reach[j, i]]
+        seen.update(comp)
+        if t[np.ix_(comp, comp)].any():
+            comps.append(comp)
+    return comps, bool(reach.all())
+
+
+def python_bfs_period(t) -> int:
+    """Period of a strongly connected digraph: BFS levels from vertex 0, then
+    the gcd of level[u] + 1 - level[v] over the edges, one vertex at a time."""
+    n = len(t)
+    succ = [[int(j) for j in np.nonzero(t[i])[0]] for i in range(n)]
+    level = [-1] * n
+    level[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in succ[u]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u in range(n):
+        for v in succ[u]:
+            g = math.gcd(g, level[u] + 1 - level[v])
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_components_match_transitive_closure(t):
+    shift = FiniteShift(len(t), t)
+    zero = LocallyConstantPotential.constant(shift, 0.0)
+    expected, _ = closure_components(t)
+    parts = cycle_components(shift, zero)
+    assert [symbols for symbols, _, _ in parts] == expected
+    for symbols, sub_shift, _ in parts:
+        assert np.array_equal(sub_shift.dense(), t[np.ix_(symbols, symbols)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_primitivity_matches_python_bfs(t):
+    shift = FiniteShift(len(t), t)
+    rows, cols = np.nonzero(t)
+    _, strong = closure_components(t)
+    expected = python_bfs_period(t) if strong else 0
+    assert _strong_period(len(t), rows, cols) == expected
+    tm = build_transfer_matrix(shift, LocallyConstantPotential.constant(shift, -0.5))
+    if expected == 1:
+        solve_rpf(tm)
+    else:
+        with pytest.raises(NotMixingError):
+            solve_rpf(tm)
