@@ -8,16 +8,14 @@ writes the files.  The model logic lives in the library.
 Outputs are deterministic: fixed column order, 17-significant-digit floats,
 LF line endings, sorted JSON keys, and no timestamps inside data files
 (timing goes to stderr).  Exit codes: 0 success; 2 validation error,
-including a task the model kind does not support, t_min >= t_max and a root
-tolerance outside (0, 1e-6]; 3 numerical failure (indeterminacy, no
-convergence, overflow or another ArithmeticError).  Each failure prints one
-line to stderr.
+including a task the model kind does not support, t_min >= t_max, a Z_n
+base with base[0] >= base[1] and a root tolerance outside (0, 1e-6];
+3 numerical failure (indeterminacy, no convergence, overflow or another
+ArithmeticError).  Each failure prints one line to stderr.
 
     thermoform run <config.json> -o <dir> [--tol <x>] [--gnuplot]
     thermoform demo <name> -o <dir> [--tol <x>]
     thermoform list-demos
-
-THERMOFORM_THREADS (integer >= 1) caps parallelism over curve grid points.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from types import SimpleNamespace
 
@@ -101,17 +98,6 @@ def validate_config(config: dict) -> None:
         raise error
 
 
-def thread_count() -> int:
-    raw = os.environ.get("THERMOFORM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"THERMOFORM_THREADS must be an integer >= 1, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"THERMOFORM_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _parse_finite(block: dict):
     shift = FiniteShift(block["alphabet"], np.array(block["transitions"]))
     pot_block = block["potential"]
@@ -180,7 +166,7 @@ def _curve(run, curve, **summary) -> dict:
 
 def _renewal_curve(sub: dict, run) -> dict:
     curve = pressure_curve(run.renewal, _grid(sub), root_tol=run.root_tol,
-                           sum_tol=run.sum_tol, map_fn=run.map_fn)
+                           sum_tol=run.sum_tol)
     return _curve(run, curve, max_enclosure_width=float(np.max(curve.enclosure_widths)),
                   classes=sorted(set(curve.classes)))
 
@@ -299,13 +285,17 @@ def _check_tol(name: str, value: float) -> float:
 
 
 def _check_tasks(kind: str, task: dict) -> None:
-    """Reject unsupported tasks and reversed grids before anything is solved."""
+    """Reject unsupported tasks, reversed grids and reversed or empty Z_n base
+    intervals before anything is solved."""
     for name, sub in task.items():
         if name not in TASKS[kind]:
             raise ValueError(f"task {name!r} is not supported for a {kind} model")
         if name == "pressure_curve" and sub["t_min"] >= sub["t_max"]:
             raise ValueError(f"pressure_curve needs t_min < t_max, got "
                              f"{sub['t_min']} >= {sub['t_max']}")
+        if name == "zn" and "base" in sub and sub["base"][0] >= sub["base"][1]:
+            raise ValueError(f"zn needs base[0] < base[1], got "
+                             f"{sub['base'][0]} >= {sub['base'][1]}")
 
 
 def _parse_subjects(config: dict, task: dict, run) -> None:
@@ -333,22 +323,14 @@ def run_config(config: dict, outdir: str, root_tol: float | None = None,
     kind = config["interval"]["kind"] if config["model"] == "interval" else config["model"]
     task = config.get("task", {})
     _check_tasks(kind, task)
-    threads = thread_count()
     tolerances = config.get("tolerances", {})
     rt = _check_tol("root_tol", root_tol if root_tol is not None
                     else tolerances.get("root_tol", 1e-10))
     st = _check_tol("sum_tol", tolerances.get("sum_tol", 1e-12))
     run = SimpleNamespace(root_tol=rt, sum_tol=st, gnuplot=gnuplot, files={}, warnings=[])
     _parse_subjects(config, task, run)
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    run.map_fn = pool.map if pool is not None else map
-    try:
-        outputs = {name: handler(task[name], run)
-                   for name, handler in TASKS[kind].items() if name in task}
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    outputs = {name: handler(task[name], run)
+               for name, handler in TASKS[kind].items() if name in task}
 
     os.makedirs(outdir, exist_ok=True)
     for name, (writer, *content) in run.files.items():

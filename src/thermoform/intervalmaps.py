@@ -168,15 +168,15 @@ def _bits(codes: np.ndarray, n: int, i: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def periodic_points(model: IntervalMapModel, n: int, n_max: int = MAX_PERIOD) -> PeriodicPointSet:
+def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
     """One sample per admissible length-n itinerary, skips logged.
 
     Degenerate cells (no sign change for the n-fold composition, or roots
     excluded by the half-open domain) are counted in `skipped`.  Results are
     cached per (model, n); the points do not depend on the parameter t.
     """
-    if not 1 <= n <= n_max:
-        raise ValueError(f"n must be in [1, {n_max}]")
+    if not 1 <= n <= MAX_PERIOD:
+        raise ValueError(f"n must be in [1, {MAX_PERIOD}]")
     codes = _itineraries(n)
 
     if model.kind == DOUBLING_GRID:
@@ -322,20 +322,21 @@ def gurevich_estimate(model: IntervalMapModel, t: float, n_max: int) -> Gurevich
     return GurevichEstimate(ns, raw, float(extrap), spread, skipped)
 
 
-def two_slope_kink(ts, ps, n_left: int = 3, n_right: int = 3):
-    """Intersection of the lines fitted to the left and right ends of a curve.
+def two_slope_kink(ts, ps):
+    """Intersection of the lines fitted to the three leftmost and the three
+    rightmost points of a curve.
 
     Returns (t_star, left_slope, right_slope); the input should sample the
     asymptotic linear branches on both sides of a suspected kink.
     """
     ts = np.asarray(ts, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    if len(ts) < n_left + n_right:
+    if len(ts) < 6:
         raise ValueError("not enough points for the two-slope fit")
-    if np.ptp(ts[:n_left]) == 0.0 or np.ptp(ts[-n_right:]) == 0.0:
+    if np.ptp(ts[:3]) == 0.0 or np.ptp(ts[-3:]) == 0.0:
         raise ArithmeticError("an end of the t grid holds a single t value; no slope to fit")
-    s1, c1 = np.polyfit(ts[:n_left], ps[:n_left], 1)
-    s2, c2 = np.polyfit(ts[-n_right:], ps[-n_right:], 1)
+    s1, c1 = np.polyfit(ts[:3], ps[:3], 1)
+    s2, c2 = np.polyfit(ts[-3:], ps[-3:], 1)
     if abs(s1 - s2) < 1e-12:
         raise ArithmeticError("slopes too close; no kink resolved")
     return (c2 - c1) / (s1 - s2), float(s1), float(s2)

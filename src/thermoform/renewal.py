@@ -649,17 +649,16 @@ def _curve_point(model, t, root_tol, sum_tol) -> Derivative:
 
 
 def pressure_curve(model: RenewalModel, t_grid, root_tol: float = DEFAULT_ROOT_TOL,
-                   sum_tol: float = DEFAULT_SUM_TOL, map_fn=map) -> PressureCurve:
+                   sum_tol: float = DEFAULT_SUM_TOL) -> PressureCurve:
     """Solve, classify and differentiate across a grid; locate transitions.
 
-    `map_fn` may be a thread pool's map; points are independent and results
-    are merged in grid order.  Floor domination and convexity of the solved
-    curve are validated before returning.
+    Floor domination and convexity of the solved curve are validated before
+    returning.
     """
     ts = np.asarray(list(t_grid), dtype=float)
     if len(ts) < 1:
         raise ValueError("empty t grid")
-    ders = list(map_fn(lambda t: _curve_point(model, float(t), root_tol, sum_tol), ts))
+    ders = [_curve_point(model, float(t), root_tol, sum_tol) for t in ts]
     roots = [d.recurrence.root for d in ders]
     p = np.array([r.pressure for r in roots])
     widths = np.array([r.width for r in roots])

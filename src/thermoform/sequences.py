@@ -266,16 +266,17 @@ def model_from_spec(spec: SequenceSpec) -> RenewalModel:
     return realize_model(from_spec(spec), spec.family)
 
 
-def potential_variation(seq: RealizedSequence, n: int, window: int = 20000) -> float:
+def potential_variation(seq: RealizedSequence, n: int) -> float:
     """Variation V_n of the coded doubling-map potential built from seq.
 
     Points agreeing on n symbols differ only inside the all-zero cylinder,
     where the potential takes the values {a_j : j >= n} together with the
-    limit 0 at the fixed point; V_n is the diameter of that set.
+    limit 0 at the fixed point; V_n is the diameter of that set, read off the
+    levels n <= j < max(n + 8, n_cut) + 20000.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    vals = [seq.a(j) for j in range(n, max(n + 8, seq.n_cut) + window)]
+    vals = [seq.a(j) for j in range(n, max(n + 8, seq.n_cut) + 20000)]
     vals.append(0.0)
     return max(vals) - min(vals)
 

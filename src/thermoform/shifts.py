@@ -5,7 +5,11 @@ equal to 1 iff symbol j may follow symbol i.  A shift stores them once, as
 CSR index arrays (`indptr`, and the successors of each symbol in increasing
 order), built from a dense 0/1 array or, for large synthetic graphs such as
 the loop realizations of renewal structures, from an edge list.
-`bfs_levels` walks that graph level by level with whole-frontier gathers.
+`bfs_levels` walks that graph level by level with whole-frontier gathers,
+and `strong_period` uses it to decide strong connectivity and the period:
+a graph is strongly connected when the forward and the backward walk from
+one vertex reach every vertex, and its period is then the gcd of
+level[u] + 1 - level[v] over its edges u -> v.
 """
 
 from __future__ import annotations
@@ -49,6 +53,18 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarra
         level[nxt] = depth
         frontier = nxt
     return level
+
+
+def strong_period(n: int, sources: np.ndarray, targets: np.ndarray) -> int:
+    """Period (gcd of cycle lengths) of the digraph on n vertices with edges
+    sources[e] -> targets[e], listed by source; 0 if it is not strongly
+    connected.  The graph is primitive (mixing) exactly when this is 1."""
+    by_target = np.argsort(targets, kind="stable")
+    level = bfs_levels(csr_indptr(sources, n), targets, 0)
+    back = bfs_levels(csr_indptr(targets[by_target], n), sources[by_target], 0)
+    if np.any(level < 0) or np.any(back < 0):
+        return 0
+    return int(np.gcd.reduce(level[sources] + 1 - level[targets]))
 
 
 class FiniteShift:
@@ -256,9 +272,15 @@ class MixingVerdict:
 
 
 def is_topologically_mixing(shift: FiniteShift, n_max: int = 64) -> MixingVerdict:
-    """Search for the smallest N <= n_max with T^N all-positive (Boolean)."""
+    """Search for the smallest N <= n_max with T^N all-positive (Boolean).
+
+    No power of T is all-positive unless the shift is strongly connected with
+    period 1, so any other shift is answered by strong_period without a scan.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if strong_period(shift.alphabet_size, *shift.edges()) != 1:
+        return MixingVerdict(False, None, n_max)
     base = shift.dense().astype(bool)
     power = base.copy()
     for n in range(1, n_max + 1):
@@ -273,26 +295,13 @@ def enumerate_periodic_words(shift: FiniteShift, n: int,
     """Admissible cyclic words of length n (wrap transition included).
 
     These index the period-n points of the shift.  Output is lexicographic
-    and deterministic.
+    and deterministic: the admissible words of length n, in their order,
+    that close up.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if first_symbol is not None and not (0 <= first_symbol < shift.alphabet_size):
         raise ValueError("first_symbol outside alphabet")
-    firsts = [first_symbol] if first_symbol is not None else list(range(shift.alphabet_size))
-    out: list[Word] = []
-    for f in firsts:
-        stack: list[Word] = [(f,)]
-        while stack:
-            w = stack.pop()
-            if len(w) == n:
-                if shift.allows(w[-1], w[0]):
-                    out.append(w)
-                continue
-            for j in shift.successors(w[-1])[::-1]:
-                stack.append(w + (int(j),))
-    out.sort()
-    return out
+    return [w for w in enumerate_admissible_words(shift, n)
+            if shift.allows(w[-1], w[0]) and (first_symbol is None or w[0] == first_symbol)]
 
 
 def birkhoff_sum(potential: LocallyConstantPotential, cyclic_word) -> float:

@@ -10,10 +10,8 @@ A matrix is three numpy arrays, rows, cols and vals, in CSR order (by row,
 then column).  T x is np.bincount(rows, weights=vals * x[cols]), which adds
 each row's products in column order starting from zero, as a CSR product
 does; x T is the same call on the entries reordered by column.  Primitivity
-and components come from breadth-first levels (shifts.bfs_levels): a graph
-is strongly connected when the forward and the backward walk from one
-vertex reach every vertex, and its period is the gcd of
-level[u] + 1 - level[v] over its edges u -> v.
+is shifts.strong_period == 1, and components come from the same
+breadth-first levels (shifts.bfs_levels).
 """
 
 from __future__ import annotations
@@ -27,19 +25,20 @@ from .errors import ConvergenceError, NotMixingError
 from .renewal import NON_UNIQUE, POSITIVE_RECURRENT, PressureCurve, check_curve
 from .shifts import (DENSE_LIMIT, FiniteShift, LocallyConstantPotential,
                      bfs_levels, csr_indptr, enumerate_admissible_words,
-                     is_admissible, is_topologically_mixing)
+                     is_admissible, is_topologically_mixing, strong_period)
+
+POWER_STEPS = 10 ** 6  # power-iteration cap of solve_rpf and decompose_components
 
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    states: list  # admissible level-words
+    states: list  # admissible words of the potential's depth
     index: dict
     rows: np.ndarray  # target state of each entry, entries in CSR order
     cols: np.ndarray  # source state
     vals: np.ndarray  # exp(phi(source))
     shift: FiniteShift
     potential: LocallyConstantPotential
-    level: int
 
     @property
     def size(self) -> int:
@@ -58,19 +57,12 @@ class TransferMatrix:
         return float(np.trace(np.linalg.matrix_power(self.dense(), n)))
 
 
-def build_transfer_matrix(shift: FiniteShift, potential: LocallyConstantPotential,
-                          level: int | None = None) -> TransferMatrix:
-    """Weighted cylinder-transition matrix for the given potential.
-
-    `level` defaults to the potential depth and must not be smaller.
-    """
+def build_transfer_matrix(shift: FiniteShift,
+                          potential: LocallyConstantPotential) -> TransferMatrix:
+    """Weighted cylinder-transition matrix for the given potential; its states
+    are the admissible words of the potential's depth."""
     k = potential.depth
-    if level is None:
-        level = k
-    if level < k:
-        raise ValueError("cylinder level must be >= potential depth")
-
-    if level == 1:
+    if k == 1:
         # fast path: states are the symbols themselves
         m = shift.alphabet_size
         states = [(i,) for i in range(m)]
@@ -79,15 +71,15 @@ def build_transfer_matrix(shift: FiniteShift, potential: LocallyConstantPotentia
         by_target = np.argsort(dst, kind="stable")  # sources stay sorted within a target
         src, dst = src[by_target], dst[by_target]
         return TransferMatrix(states, {s: i for i, s in enumerate(states)},
-                              dst, src, weights[src], shift, potential, 1)
+                              dst, src, weights[src], shift, potential)
 
-    states = enumerate_admissible_words(shift, level)
+    states = enumerate_admissible_words(shift, k)
     if not states:
         raise ValueError("empty state set")
     index = {w: i for i, w in enumerate(states)}
     rows, cols, vals = [], [], []
     for ci, w in enumerate(states):
-        weight = math.exp(potential(w[:k]))
+        weight = math.exp(potential(w))
         base = w[1:]
         for j in shift.successors(w[-1]):
             nxt = base + (int(j),)
@@ -99,7 +91,7 @@ def build_transfer_matrix(shift: FiniteShift, potential: LocallyConstantPotentia
     rows = np.array(rows, dtype=np.int64)
     by_row = np.argsort(rows, kind="stable")  # cols were appended in increasing order
     return TransferMatrix(states, index, rows[by_row], np.array(cols, dtype=np.int64)[by_row],
-                          np.array(vals, dtype=float)[by_row], shift, potential, level)
+                          np.array(vals, dtype=float)[by_row], shift, potential)
 
 
 @dataclass(frozen=True)
@@ -116,20 +108,9 @@ class RPFSolution:
     matrix: TransferMatrix
 
 
-def _strong_period(n: int, rows: np.ndarray, cols: np.ndarray) -> int:
-    """Period (gcd of cycle lengths) of the digraph on n vertices with edges
-    rows[e] -> cols[e], listed by row; 0 if it is not strongly connected."""
-    by_col = np.argsort(cols, kind="stable")
-    level = bfs_levels(csr_indptr(rows, n), cols, 0)
-    back = bfs_levels(csr_indptr(cols[by_col], n), rows[by_col], 0)
-    if np.any(level < 0) or np.any(back < 0):
-        return 0
-    return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
-
-
 def _check_primitive(tm: TransferMatrix) -> None:
     nonzero = tm.vals != 0  # an underflowed weight is no edge
-    period = _strong_period(tm.size, tm.rows[nonzero], tm.cols[nonzero])
+    period = strong_period(tm.size, tm.rows[nonzero], tm.cols[nonzero])
     if period == 0:
         raise NotMixingError(
             "transfer graph is not strongly connected; use decompose_components")
@@ -140,14 +121,14 @@ def _check_primitive(tm: TransferMatrix) -> None:
 
 
 def _power_iterate(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                   tol: float, max_iter: int):
+                   tol: float):
     by_col = np.argsort(cols, kind="stable")
     t_rows, t_cols, t_vals = cols[by_col], rows[by_col], vals[by_col]
     h = np.full(n, 1.0)
     m = np.full(n, 1.0)
     lam = 1.0
     res = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_STEPS + 1):
         th = np.bincount(rows, weights=vals * h[cols], minlength=n)
         tm = np.bincount(t_rows, weights=t_vals * m[t_cols], minlength=n)
         lam = float(m @ th) / float(m @ h)
@@ -159,12 +140,11 @@ def _power_iterate(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
         if res <= tol:
             return lam, h, m, res * scale, it
     raise ConvergenceError(
-        f"power iteration did not reach tol {tol} in {max_iter} iterations "
+        f"power iteration did not reach tol {tol} in {POWER_STEPS} iterations "
         f"(residual {res:.3e})", residual=res)
 
 
-def solve_rpf(tmatrix: TransferMatrix, tol: float = 1e-12,
-              max_iter: int = 10 ** 6) -> RPFSolution:
+def solve_rpf(tmatrix: TransferMatrix, tol: float = 1e-12) -> RPFSolution:
     """Power iteration for the Perron triple of a mixing transfer matrix.
 
     Raises NotMixingError for reducible/periodic inputs and ConvergenceError
@@ -172,7 +152,7 @@ def solve_rpf(tmatrix: TransferMatrix, tol: float = 1e-12,
     """
     _check_primitive(tmatrix)
     lam, h, m, res, it = _power_iterate(tmatrix.size, tmatrix.rows, tmatrix.cols,
-                                        tmatrix.vals, tol, max_iter)
+                                        tmatrix.vals, tol)
     m = m / m.sum()
     mu = h * m
     mu = mu / mu.sum()
@@ -182,8 +162,8 @@ def solve_rpf(tmatrix: TransferMatrix, tol: float = 1e-12,
 def cylinder_weight(sol: RPFSolution, word) -> float:
     """Equilibrium mass of the cylinder coded by `word` (any length >= 1)."""
     w = tuple(int(s) for s in word)
-    k = sol.matrix.level
     pot = sol.matrix.potential
+    k = pot.depth
     if len(w) < k:
         total = 0.0
         for state in sol.matrix.states:
@@ -193,7 +173,7 @@ def cylinder_weight(sol: RPFSolution, word) -> float:
     z = float(sol.h @ sol.m)
     s_part = 0.0
     for i in range(len(w) - k):
-        s_part += pot(w[i:i + pot.depth])
+        s_part += pot(w[i:i + k])
     tail_state = w[len(w) - k:]
     m_tail = sol.m[sol.matrix.index[tail_state]]
     m_val = math.exp(s_part - (len(w) - k) * sol.pressure) * m_tail
@@ -297,7 +277,7 @@ def _plus_identity(tm: TransferMatrix):
 
 
 def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential,
-                         t: float = 1.0, tol: float = 1e-12, max_iter: int = 10 ** 6,
+                         t: float = 1.0, tol: float = 1e-12,
                          components: list | None = None) -> ComponentDecomposition:
     """Per-component Perron data of t*potential; the total pressure is the max.
 
@@ -313,10 +293,10 @@ def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential
     for symbols, sub_shift, sub_pot in components:
         tm = build_transfer_matrix(sub_shift, sub_pot.scaled(t))
         try:
-            sol = solve_rpf(tm, tol=tol, max_iter=max_iter)
+            sol = solve_rpf(tm, tol=tol)
             comps.append(ComponentSolution(symbols, sol.pressure, sol, sol.residual))
         except NotMixingError:  # periodic: T + I is primitive, with Perron root 1 + root of T
-            lam, _, _, res, _ = _power_iterate(tm.size, *_plus_identity(tm), tol, max_iter)
+            lam, _, _, res, _ = _power_iterate(tm.size, *_plus_identity(tm), tol)
             comps.append(ComponentSolution(symbols, math.log(lam - 1.0), None, res))
     pressures = np.array([c.pressure for c in comps])
     total = float(pressures.max())
@@ -339,10 +319,9 @@ def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotentia
     """
     ts = np.asarray(list(t_grid), dtype=float)
     parts = cycle_components(shift, potential)
-    # a reducible shift is not mixing; for an irreducible one the Boolean scan
-    # settles aperiodicity, within Wielandt's bound (m-1)^2 + 1 on the exponent
-    mixing = len(parts) == 1 and bool(
-        is_topologically_mixing(shift, n_max=(shift.alphabet_size - 1) ** 2 + 1))
+    # a primitive shift's Boolean scan ends within Wielandt's bound (m-1)^2 + 1
+    # on the exponent; any other shift is answered by its period, unscanned
+    mixing = bool(is_topologically_mixing(shift, n_max=(shift.alphabet_size - 1) ** 2 + 1))
     decs = [decompose_components(shift, potential, t=float(t), tol=tol, components=parts)
             for t in ts]
     ders, widths = np.full(len(ts), math.nan), np.zeros(len(ts))

@@ -9,7 +9,7 @@ import pytest
 
 import thermoform
 from thermoform import RealizedSequence, sequence_table
-from thermoform.cli import main, run_config, thread_count, validate_config
+from thermoform.cli import main, run_config, validate_config
 from thermoform.demos import demo_names, describe_demos, run_demo
 
 LOG2 = math.log(2.0)
@@ -199,6 +199,10 @@ def test_doubling_grid_sequence_table_runs_on_its_sequence(tmp_path, capsys):
       "task": {"classify": {"t": 3.0}, "witness": {"t": 3.0}}}, 2),
     ({"model": "renewal", "renewal": GRID, "tolerances": {"sum_tol": 1e300},
       "task": {"classify": {"t": 3.0}}}, 2),
+    ({"model": "interval", "interval": {"kind": "chebyshev"},
+      "task": {"zn": {"t": 1.0, "n_max": 4, "base": [0.5, 0.0]}}}, 2),
+    ({"model": "interval", "interval": {"kind": "chebyshev"},
+      "task": {"zn": {"t": 1.0, "n_max": 4, "base": [0.5, 0.5]}}}, 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
     got, lines = run_main(tmp_path, capsys, cfg)
@@ -300,23 +304,6 @@ def test_base_set_pathology_demo(tmp_path):
     assert np.all(z0[:, 1] >= 1.0)
     rate = np.polyfit(z1[:, 0], np.log(z1[:, 1]), 1)[0]
     assert rate <= -0.01
-
-
-def test_threads_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("THERMOFORM_THREADS", "4")
-    assert thread_count() == 4
-    cfg = {"model": "renewal",
-           "renewal": {"family": "grid", "gamma": 3.0},
-           "task": {"pressure_curve": {"t_min": 0.5, "t_max": 2.0, "steps": 7}}}
-    out_par = tmp_path / "par"
-    run_config(cfg, str(out_par))
-    monkeypatch.setenv("THERMOFORM_THREADS", "1")
-    out_seq = tmp_path / "seq"
-    run_config(cfg, str(out_seq))
-    assert (out_par / "curve.csv").read_bytes() == (out_seq / "curve.csv").read_bytes()
-    monkeypatch.setenv("THERMOFORM_THREADS", "zero")
-    with pytest.raises(ValueError):
-        thread_count()
 
 
 def test_gnuplot_emission(tmp_path):

@@ -434,26 +434,6 @@ def test_s_table_concurrent_growth():
         assert np.array_equal(table, reference[:m])
 
 
-def test_pressure_curve_threads_match_serial():
-    def dfu():
-        return sq.realize_model(sq.dfu_perturb(
-            sq.normalize(sq.build_tail(3.0, 1), 2.0), 0.2), sq.GRID)
-    grid = np.linspace(0.2, 2.0, 10)
-    serial = pressure_curve(dfu(), grid)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(2) as pool:
-            threaded = pressure_curve(dfu(), grid, map_fn=pool.map)
-    finally:
-        sys.setswitchinterval(old)
-    for name in ("p", "derivatives", "G_values", "enclosure_widths"):
-        assert np.array_equal(getattr(threaded, name), getattr(serial, name))
-    assert threaded.classes == serial.classes
-    assert threaded.derivative_kinds == serial.derivative_kinds
-    assert threaded.transitions == serial.transitions
-
-
 def count_H(monkeypatch):
     """Count evaluations of H (n_weight=1) per (t, p) made through the module."""
     import thermoform.renewal as rn

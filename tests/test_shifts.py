@@ -61,6 +61,14 @@ def test_mixing_verdicts():
     assert gm and gm.power == 2
 
 
+def test_long_cycle_is_not_mixing_without_a_dense_matrix():
+    # 5000 symbols is past DENSE_LIMIT, so only the period test can answer
+    m = 5000
+    shift = FiniteShift.from_edges(m, np.arange(m), (np.arange(m) + 1) % m)
+    v = is_topologically_mixing(shift, (m - 1) ** 2 + 1)
+    assert not v and v.power is None
+
+
 def test_enumerate_counts_full_shift():
     assert len(enumerate_periodic_words(full_shift(2), 3)) == 8
     words = enumerate_periodic_words(full_shift(3), 2, first_symbol=2)

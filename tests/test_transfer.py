@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -10,8 +12,10 @@ from thermoform import (FiniteShift, LocallyConstantPotential, NotMixingError,
                         decompose_components, disjoint_union,
                         enumerate_periodic_words, full_shift,
                         gibbs_constant_check, golden_mean_shift,
-                        pressure_curve_finite, renewal_shift, solve_rpf)
-from thermoform.transfer import _strong_period, cycle_components
+                        is_topologically_mixing, pressure_curve_finite,
+                        renewal_shift, solve_rpf)
+from thermoform.shifts import strong_period
+from thermoform.transfer import cycle_components
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -312,6 +316,42 @@ def test_components_match_transitive_closure(t):
         assert np.array_equal(sub_shift.dense(), t[np.ix_(symbols, symbols)])
 
 
+def boolean_scan(t, n_max):
+    """(mixing, power): the smallest N <= n_max with t^N all-positive, by plain
+    Boolean matrix powers."""
+    base = t.astype(np.int64)
+    power = base.copy()
+    for n in range(1, n_max + 1):
+        if power.all():
+            return True, n
+        power = ((power @ base) > 0).astype(np.int64)
+    return False, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_mixing_verdict_matches_boolean_scan(t):
+    m = len(t)
+    shift = FiniteShift(m, t)
+    for n_max in (1, 3, (m - 1) ** 2 + 1):
+        v = is_topologically_mixing(shift, n_max)
+        assert (v.mixing, v.power) == boolean_scan(t, n_max)
+        assert v.checked_up_to == n_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(), st.integers(1, 4), st.data())
+def test_periodic_words_match_brute_force(t, n, data):
+    m = len(t)
+    shift = FiniteShift(m, t)
+    closed = [w for w in itertools.product(range(m), repeat=n)
+              if all(t[w[i], w[(i + 1) % n]] for i in range(n))]
+    assert enumerate_periodic_words(shift, n) == closed
+    first = data.draw(st.integers(0, m - 1))
+    assert (enumerate_periodic_words(shift, n, first_symbol=first)
+            == [w for w in closed if w[0] == first])
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
 def test_primitivity_matches_python_bfs(t):
@@ -319,10 +359,21 @@ def test_primitivity_matches_python_bfs(t):
     rows, cols = np.nonzero(t)
     _, strong = closure_components(t)
     expected = python_bfs_period(t) if strong else 0
-    assert _strong_period(len(t), rows, cols) == expected
+    assert strong_period(len(t), rows, cols) == expected
     tm = build_transfer_matrix(shift, LocallyConstantPotential.constant(shift, -0.5))
     if expected == 1:
         solve_rpf(tm)
     else:
         with pytest.raises(NotMixingError):
             solve_rpf(tm)
+
+
+def test_long_cycle_curve_is_not_mixing_within_budget():
+    shift = cycle_shift(120)
+    started = time.monotonic()
+    curve, mixing = pressure_curve_finite(
+        shift, LocallyConstantPotential.constant(shift, -1.0), [0.5, 1.0, 1.5])
+    assert time.monotonic() - started <= 2.0
+    assert mixing is False
+    assert curve.warnings == ["shift is not mixing; component maximum reported"]
+    assert np.allclose(curve.p, -np.array([0.5, 1.0, 1.5]), atol=1e-12)
