@@ -15,7 +15,7 @@ from .errors import (ConvergenceError, EnvelopeError, IndeterminateError,
                      NotMixingError)
 from .series import CertifiedSum
 from .shifts import (FiniteShift, LocallyConstantPotential, MixingVerdict,
-                     birkhoff_sum, cycle_shift, disjoint_union,
+                     SymbolValues, birkhoff_sum, cycle_shift, disjoint_union,
                      enumerate_admissible_words, enumerate_periodic_words,
                      full_shift, golden_mean_shift, is_admissible,
                      is_topologically_mixing, renewal_shift, variation)
@@ -38,7 +38,7 @@ from .sequences import (RealizedSequence, SequenceSpec, build_tail,
                         normalize, potential_variation, realize_model,
                         sequence_table, with_leading_shift)
 from .intervalmaps import (GurevichEstimate, IntervalMapModel,
-                           PeriodicOrbitSample, SarigDiagnostic, ZnResult,
+                           PeriodicPointSet, SarigDiagnostic, ZnResult,
                            chebyshev_model, chebyshev_pressure_curve,
                            chebyshev_pressure_exact,
                            doubling_grid_model, gurevich_estimate,

@@ -2,10 +2,12 @@
 
 Periodic orbits are found per itinerary: the coding cell is pulled back
 through inverse branches and the fixed point of the n-fold composition is
-bisected inside it (vectorized across all 2^n itineraries).  The doubling
-map uses exact dyadic arithmetic instead: the period-n point of itinerary w
-is w/(2^n - 1) and orbit sums of the level potential are pure bit counting,
-which is what makes the two-route partition-sum comparison exact.
+bisected inside it (vectorized across all 2^n itineraries); the samples are
+kept as arrays in code order.  The doubling map uses exact dyadic arithmetic
+instead: the period-n point of itinerary w is w/(2^n - 1) and orbit sums of
+the level potential are pure bit counting, which is what makes the two-route
+partition-sum comparison exact.  Those points increase with w, so a
+half-open base interval is a range of codes.
 """
 
 from __future__ import annotations
@@ -135,22 +137,26 @@ def chebyshev_pressure_curve(t_grid) -> PressureCurve:
                          [{"t": -1.0, "kind": "kink", "smoothness": FIRST_ORDER}], [])
 
 
-@dataclass(frozen=True)
-class PeriodicOrbitSample:
-    itinerary: tuple
-    point: float
-    log_deriv: float  # log |Df^n| at the point
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicPointSet:
+    """The admissible period-n samples in code order, as read-only arrays.
+
+    Bit n - 1 - i of codes[j] is the i-th symbol of sample j's itinerary;
+    points[j] is its periodic point and log_derivs[j] log |Df^n| there.
+    """
+
     n: int
-    samples: list
+    codes: np.ndarray
+    points: np.ndarray
+    log_derivs: np.ndarray
     skipped: int
 
+    def __post_init__(self):
+        for a in (self.codes, self.points, self.log_derivs):
+            a.flags.writeable = False
 
-def _itineraries(n: int) -> np.ndarray:
-    return np.arange(1 << n, dtype=np.int64)
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _dyadic_points(codes: np.ndarray, n: int) -> np.ndarray:
@@ -160,7 +166,30 @@ def _dyadic_points(codes: np.ndarray, n: int) -> np.ndarray:
     below 1 so half-open base membership matches the shift picture.
     """
     pts = codes.astype(float) / float((1 << n) - 1)
-    return np.where(codes == (1 << n) - 1, np.nextafter(1.0, 0.0), pts)
+    return np.where(codes == (1 << n) - 1, _BELOW_ONE, pts)
+
+
+def _dyadic_codes_below(x: float, n: int) -> int:
+    """How many period-n dyadic points lie below x.
+
+    The points increase with the code, so this is the first code whose point
+    (the float _dyadic_points gives it) is >= x.
+    """
+    top = (1 << n) - 1
+    if not x > 0.0:
+        return 0
+    if x > _BELOW_ONE:
+        return top + 1
+
+    def point(c):
+        return float(_dyadic_points(np.array([c], dtype=np.int64), n)[0])
+
+    c = math.ceil(x * top)  # x * top rounds, so step to the exact first code
+    while c > 0 and point(c - 1) >= x:
+        c -= 1
+    while c <= top and point(c) < x:
+        c += 1
+    return c
 
 
 def _bits(codes: np.ndarray, n: int, i: int) -> np.ndarray:
@@ -177,14 +206,11 @@ def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
     """
     if not 1 <= n <= MAX_PERIOD:
         raise ValueError(f"n must be in [1, {MAX_PERIOD}]")
-    codes = _itineraries(n)
+    codes = np.arange(1 << n, dtype=np.int64)
 
     if model.kind == DOUBLING_GRID:
-        pts = _dyadic_points(codes, n)
-        samples = [PeriodicOrbitSample(tuple(int(b) for b in np.binary_repr(c, n)),
-                                       float(p), n * LOG2)
-                   for c, p in zip(codes, pts)]
-        return PeriodicPointSet(n, samples, 0)
+        return PeriodicPointSet(n, codes, _dyadic_points(codes, n),
+                                np.full(len(codes), n * LOG2), 0)
 
     lo = np.zeros(len(codes))
     hi = np.ones(len(codes))
@@ -227,10 +253,8 @@ def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
         log_deriv += np.log(np.maximum(d, 1e-300))
         x = model.apply(x)
     ok &= ~degenerate
-    samples = [PeriodicOrbitSample(tuple(int(b) for b in np.binary_repr(c, n)),
-                                   float(p), float(ld))
-               for c, p, ld, good in zip(codes, roots, log_deriv, ok) if good]
-    return PeriodicPointSet(n, samples, int(len(codes) - len(samples)))
+    return PeriodicPointSet(n, codes[ok], roots[ok], log_deriv[ok],
+                            int(len(codes) - np.count_nonzero(ok)))
 
 
 def _grid_orbit_sums(seq: RealizedSequence, n: int) -> np.ndarray:
@@ -239,17 +263,17 @@ def _grid_orbit_sums(seq: RealizedSequence, n: int) -> np.ndarray:
     The potential value along the orbit is a_k where k is the cyclic run of
     zeros ahead of the current position; the all-zero word (the fixed point
     at 0) contributes 0.  With table[c] that value at the n-bit word c, S_n
-    at c sums table over the n left rotations of c.  Rotating left by i swaps
-    the top i bits (hi) with the low n - i bits (lo), so row hi, column lo of
-    the sums viewed as 2^i x 2^(n-i) takes table viewed as 2^(n-i) x 2^i,
-    transposed: the same values added in the same order as word by word.
+    at c sums table over the n left rotations of c.  The words of bit length
+    j are the block [2^(j-1), 2^j), whose leading-zero run is n - j.
+    Rotating left by i swaps the top i bits (hi) with the low n - i bits
+    (lo), so row hi, column lo of the sums viewed as 2^i x 2^(n-i) takes
+    table viewed as 2^(n-i) x 2^i, transposed: the same values added in the
+    same order as word by word.
     """
-    codes = _itineraries(n)
-    a_vals = np.array([seq.a(k) for k in range(n + 1)])
-    # leading-zero run of an n-bit word c > 0: n - bit_length(c)
-    bit_length = np.frexp(codes.astype(float))[1]
-    table = np.where(codes > 0, a_vals[n - bit_length], 0.0)
-    total = np.zeros(len(codes))
+    table = np.zeros(1 << n)
+    for j in range(1, n + 1):
+        table[1 << (j - 1):1 << j] = seq.a(n - j)
+    total = np.zeros(1 << n)
     for i in range(n):
         total.reshape(1 << i, 1 << (n - i))[...] += table.reshape(1 << (n - i), 1 << i).T
     return total
@@ -276,19 +300,17 @@ def zn_sum(model: IntervalMapModel, t: float, n: int,
         base = (0.0, 1.0 + 1e-12)
     lo, hi = float(base[0]), float(base[1])
     if model.kind == DOUBLING_GRID:
-        codes = _itineraries(n)
-        pts = _dyadic_points(codes, n)
-        weights = np.exp(t * _grid_orbit_sums(model.seq, n))
-        keep = (pts >= lo) & (pts < hi)
-        return ZnResult(n, float(np.sum(weights[keep])), int(keep.sum()), 0)
+        # the points increase with the code, so the base is a code range
+        c0, c1 = ((_dyadic_codes_below(lo, n), _dyadic_codes_below(hi, n)) if lo < hi
+                  else (0, 0))
+        weights = np.exp(t * _grid_orbit_sums(model.seq, n)[c0:c1])
+        return ZnResult(n, float(np.sum(weights)), c1 - c0, 0)
     pset = periodic_points(model, n)
-    total = 0.0
-    count = 0
-    for s in pset.samples:
-        if lo <= s.point < hi:
-            total += math.exp(-t * s.log_deriv)
-            count += 1
-    return ZnResult(n, total, count, pset.skipped)
+    keep = (pset.points >= lo) & (pset.points < hi)
+    total = 0.0  # math.exp summed in code order, as sample by sample
+    for x in np.multiply(-t, pset.log_derivs[keep]).tolist():
+        total += math.exp(x)
+    return ZnResult(n, total, int(np.count_nonzero(keep)), pset.skipped)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import EnvelopeError, ConvergenceError, IndeterminateError
 from .series import (CertifiedSum, INF, iv_add, iv_div_pos, iv_scale,
                      tail_log_power_exp, tail_power_exp)
-from .shifts import FiniteShift, LocallyConstantPotential
+from .shifts import FiniteShift, LocallyConstantPotential, SymbolValues
 
 DEFAULT_SUM_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -725,5 +725,5 @@ def finite_truncation(model: RenewalModel, t: float, n_max: int):
     phi = np.zeros(n_vertices)
     phi[0] = log_w[0]
     phi[first] = log_w[1:] - log_w[0]
-    potential = LocallyConstantPotential(1, {(i,): float(phi[i]) for i in range(n_vertices)})
+    potential = LocallyConstantPotential(1, SymbolValues(phi))
     return shift, potential

@@ -14,6 +14,7 @@ level[u] + 1 - level[v] over its edges u -> v.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 import math
 
@@ -187,12 +188,39 @@ def disjoint_union(a: FiniteShift, b: FiniteShift) -> FiniteShift:
                                   np.concatenate([ta, tb + ma]))
 
 
+class SymbolValues(Mapping):
+    """Per-symbol values held as one read-only float array, read as the
+    mapping (i,) -> array[i]: the values of a depth-1 potential without a
+    word tuple or a dict entry per symbol."""
+
+    def __init__(self, per_symbol):
+        self.array = np.array(per_symbol, dtype=float)
+        self.array.flags.writeable = False
+
+    def __getitem__(self, key):
+        if (len(key) == 1 and isinstance(key[0], (int, np.integer))
+                and 0 <= key[0] < len(self.array)):
+            return float(self.array[key[0]])
+        raise KeyError(key)
+
+    def __iter__(self):
+        return zip(range(len(self.array)))
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __repr__(self) -> str:
+        return f"SymbolValues({self.array.tolist()!r})"
+
+
 @dataclass(frozen=True)
 class LocallyConstantPotential:
     """A potential depending on the first `depth` symbols only (values in nats).
 
-    `values` maps every admissible depth-word to a finite real.  When a shift
-    is supplied the key set is checked against the admissible words.
+    `values` maps every admissible depth-word to a finite real: a dict, or
+    at depth 1 a SymbolValues array (kept as given, which spares a long
+    alphabet its per-symbol tuples).  When a shift is supplied the key set
+    is checked against the admissible words.
     """
 
     depth: int
@@ -202,12 +230,18 @@ class LocallyConstantPotential:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        vals = {tuple(k): float(v) for k, v in self.values.items()}
-        for k, v in vals.items():
-            if len(k) != self.depth:
-                raise ValueError(f"key {k} does not have length {self.depth}")
-            if not math.isfinite(v):
-                raise ValueError(f"value for {k} is not finite")
+        if isinstance(self.values, SymbolValues) and self.depth == 1:
+            vals = self.values
+            bad = np.flatnonzero(~np.isfinite(vals.array))
+            if bad.size:
+                raise ValueError(f"value for {(int(bad[0]),)} is not finite")
+        else:
+            vals = {tuple(k): float(v) for k, v in self.values.items()}
+            for k, v in vals.items():
+                if len(k) != self.depth:
+                    raise ValueError(f"key {k} does not have length {self.depth}")
+                if not math.isfinite(v):
+                    raise ValueError(f"value for {k} is not finite")
         object.__setattr__(self, "values", vals)
         if self.shift is not None:
             expected = set(enumerate_admissible_words(self.shift, self.depth))
@@ -223,13 +257,14 @@ class LocallyConstantPotential:
         return self.values[tuple(context)]
 
     def scaled(self, t: float) -> "LocallyConstantPotential":
+        if isinstance(self.values, SymbolValues):
+            return LocallyConstantPotential(1, SymbolValues(t * self.values.array), self.shift)
         return LocallyConstantPotential(
             self.depth, {k: t * v for k, v in self.values.items()}, self.shift)
 
     @classmethod
     def from_symbol_values(cls, shift: FiniteShift, per_symbol) -> "LocallyConstantPotential":
-        vals = {(i,): float(v) for i, v in enumerate(per_symbol)}
-        return cls(1, vals, shift)
+        return cls(1, SymbolValues(per_symbol), shift)
 
     @classmethod
     def constant(cls, shift: FiniteShift, value: float) -> "LocallyConstantPotential":
@@ -290,18 +325,14 @@ def is_topologically_mixing(shift: FiniteShift, n_max: int = 64) -> MixingVerdic
     return MixingVerdict(False, None, n_max)
 
 
-def enumerate_periodic_words(shift: FiniteShift, n: int,
-                             first_symbol: int | None = None) -> list[Word]:
+def enumerate_periodic_words(shift: FiniteShift, n: int) -> list[Word]:
     """Admissible cyclic words of length n (wrap transition included).
 
     These index the period-n points of the shift.  Output is lexicographic
     and deterministic: the admissible words of length n, in their order,
     that close up.
     """
-    if first_symbol is not None and not (0 <= first_symbol < shift.alphabet_size):
-        raise ValueError("first_symbol outside alphabet")
-    return [w for w in enumerate_admissible_words(shift, n)
-            if shift.allows(w[-1], w[0]) and (first_symbol is None or w[0] == first_symbol)]
+    return [w for w in enumerate_admissible_words(shift, n) if shift.allows(w[-1], w[0])]
 
 
 def birkhoff_sum(potential: LocallyConstantPotential, cyclic_word) -> float:

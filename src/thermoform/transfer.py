@@ -24,8 +24,9 @@ import numpy as np
 from .errors import ConvergenceError, NotMixingError
 from .renewal import NON_UNIQUE, POSITIVE_RECURRENT, PressureCurve, check_curve
 from .shifts import (DENSE_LIMIT, FiniteShift, LocallyConstantPotential,
-                     bfs_levels, csr_indptr, enumerate_admissible_words,
-                     is_admissible, is_topologically_mixing, strong_period)
+                     SymbolValues, bfs_levels, csr_indptr,
+                     enumerate_admissible_words, is_admissible,
+                     is_topologically_mixing, strong_period)
 
 POWER_STEPS = 10 ** 6  # power-iteration cap of solve_rpf and decompose_components
 
@@ -66,7 +67,12 @@ def build_transfer_matrix(shift: FiniteShift,
         # fast path: states are the symbols themselves
         m = shift.alphabet_size
         states = [(i,) for i in range(m)]
-        weights = np.exp(np.array([potential((i,)) for i in range(m)], dtype=float))
+        values = potential.values
+        if isinstance(values, SymbolValues) and len(values) >= m:
+            phi = values.array[:m]
+        else:
+            phi = np.array([potential((i,)) for i in range(m)], dtype=float)
+        weights = np.exp(phi)
         src, dst = shift.edges()
         by_target = np.argsort(dst, kind="stable")  # sources stay sorted within a target
         src, dst = src[by_target], dst[by_target]

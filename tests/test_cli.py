@@ -203,10 +203,44 @@ def test_doubling_grid_sequence_table_runs_on_its_sequence(tmp_path, capsys):
       "task": {"zn": {"t": 1.0, "n_max": 4, "base": [0.5, 0.0]}}}, 2),
     ({"model": "interval", "interval": {"kind": "chebyshev"},
       "task": {"zn": {"t": 1.0, "n_max": 4, "base": [0.5, 0.5]}}}, 2),
+    ({"model": "interval", "interval": DOUBLING, "task": {"zn": {"t": math.nan, "n_max": 4}}}, 2),
+    ({"model": "interval", "interval": DOUBLING,
+      "task": {"zn": {"t": 1.0, "n_max": 4, "base": [math.nan, 0.5]}}}, 2),
+    ({"model": "interval", "interval": {"kind": "chebyshev"},
+      "task": {"gurevich": {"t_values": [math.nan, 1.0], "n_max": 6}}}, 2),
+    ({"model": "interval", "interval": {"kind": "chebyshev"},
+      "task": {"pressure_curve": {"t_min": -2.0, "t_max": math.inf, "steps": 5}}}, 2),
+    ({"model": "renewal", "renewal": GRID, "task": {"classify": {"t": math.nan}}}, 2),
+    ({"model": "renewal", "renewal": GRID, "task": {"witness": {"t": -math.inf}}}, 2),
+    ({"model": "renewal", "renewal": GRID, "task": {"transitions": {"bracket": [0.5, math.inf]}}}, 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
     got, lines = run_main(tmp_path, capsys, cfg)
     assert got == code and len(lines) == 1
+
+
+@pytest.mark.parametrize("task", [{"zn": {"t": math.nan, "n_max": 4}},
+                                  {"gurevich": {"t_values": [0.5, -math.inf], "n_max": 6}},
+                                  {"pressure_curve": {"t_min": math.nan, "t_max": 1.0,
+                                                      "steps": 5}}])
+def test_non_finite_t_names_its_key(tmp_path, capsys, task):
+    cfg = {"model": "interval", "interval": {"kind": "chebyshev"}, "task": task}
+    code, lines = run_main(tmp_path, capsys, cfg)
+    name, sub = next(iter(task.items()))
+    key = next(k for k, v in sub.items() if not np.all(np.isfinite(v)))
+    assert code == 2 and f"{name}.{key} must be finite" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("interval", [{"kind": "chebyshev"}, DOUBLING])
+def test_zn_infinite_base_gives_the_default_table(tmp_path, interval):
+    tables = []
+    for i, base in enumerate([None, [-math.inf, math.inf], [0.0, math.inf]]):
+        zn = {"t": 0.8, "n_max": 10, **({} if base is None else {"base": base})}
+        run_config({"model": "interval", "interval": interval, "task": {"zn": zn}},
+                   str(tmp_path / str(i)))
+        tables.append((tmp_path / str(i) / "zn.csv").read_bytes())
+    assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 @pytest.mark.parametrize("tolerances, tol", [
@@ -328,9 +362,13 @@ def test_console_entry_point(tmp_path):
 
 
 def test_no_run_loads_scipy(tmp_path):
-    # renewal, finite-shift and truncation runs all stay on numpy
+    # renewal, finite-shift, truncation and periodic-orbit runs all stay on numpy
     config = {"model": "renewal", "renewal": {"family": "grid", "gamma": 3.0},
               "task": {"classify": {"t": 1.0}}}
+    orbits = [{"model": "interval", "interval": DOUBLING,
+               "task": {"zn": {"t": 1.0, "n_max": 12, "base": [0.5, 1.0]}}},
+              {"model": "interval", "interval": {"kind": "chebyshev"},
+               "task": {"gurevich": {"t_values": [-2.0, 0.5], "n_max": 8}}}]
     proc = run_child("-c", f"""
 import sys
 import numpy as np
@@ -347,6 +385,8 @@ s = lambda n: -np.asarray(n, dtype=float)
 model = tf.RenewalModel(s, tf.TailEnvelope(-1.0, 0.0, 0.0, 0.0, 1), 0.0, 0.0, 0.0, 0.0, "geom")
 shift, pot = tf.finite_truncation(model, 0.3, 200)
 tf.solve_rpf(tf.build_transfer_matrix(shift, pot), tol=1e-13)
+for i, orbit in enumerate({orbits!r}):
+    cli.run_config(orbit, {str(tmp_path)!r} + f"/o{{i}}")
 print(scipy_modules())
 """)
     assert proc.returncode == 0, proc.stderr

@@ -28,9 +28,9 @@ def test_chebyshev_pressure_exact_values():
 
 def test_chebyshev_fixed_points():
     pts = periodic_points(chebyshev_model(), 1)
-    xs = sorted(s.point for s in pts.samples)
+    xs = sorted(pts.points.tolist())
     assert xs == pytest.approx([0.0, 0.75], abs=1e-12)
-    derivs = sorted(math.exp(s.log_deriv) for s in pts.samples)
+    derivs = sorted(math.exp(ld) for ld in pts.log_derivs.tolist())
     assert derivs == pytest.approx([2.0, 4.0], abs=1e-9)
 
 
@@ -38,7 +38,7 @@ def test_chebyshev_counts_and_skips():
     for n in (2, 4, 8, 12):
         pts = periodic_points(chebyshev_model(), n)
         assert pts.skipped <= 2
-        assert len(pts.samples) == 2 ** n - pts.skipped
+        assert len(pts.points) == 2 ** n - pts.skipped
 
 
 def test_chebyshev_zn_values():
@@ -74,10 +74,9 @@ def test_two_slope_kink_recovers_chebyshev():
 
 def test_mp_fixed_points_boundary_convention():
     pts = periodic_points(manneville_pomeau_model(0.5), 1)
-    assert len(pts.samples) == 1  # x = 1 is excluded by the half-open domain
-    s = pts.samples[0]
-    assert s.point == pytest.approx(0.0, abs=1e-12)
-    assert s.log_deriv == pytest.approx(0.0, abs=1e-12)  # parabolic
+    assert len(pts.points) == 1  # x = 1 is excluded by the half-open domain
+    assert pts.points[0] == pytest.approx(0.0, abs=1e-12)
+    assert pts.log_derivs[0] == pytest.approx(0.0, abs=1e-12)  # parabolic
     assert pts.skipped == 1
 
 
@@ -270,3 +269,88 @@ def test_grid_orbit_sums_by_transposes(seq):
                 word = [(c >> (n - 1 - i)) & 1 for i in range(n)]
                 assert sums[c] == pytest.approx(orbit_sum_brute_force(seq, word),
                                                 rel=1e-12, abs=1e-12)
+
+
+def zn_sum_by_mask(model, t, n, base):
+    """The mask-based doubling-grid Z_n that the code-range slice replaced,
+    kept as the reference: every point built, weighted and masked."""
+    from thermoform.intervalmaps import _grid_orbit_sums
+
+    lo, hi = base
+    codes = np.arange(1 << n, dtype=np.int64)
+    pts = codes.astype(float) / float((1 << n) - 1)
+    pts = np.where(codes == (1 << n) - 1, np.nextafter(1.0, 0.0), pts)
+    weights = np.exp(t * _grid_orbit_sums(model.seq, n))
+    keep = (pts >= lo) & (pts < hi)
+    return float(np.sum(weights[keep])), int(keep.sum())
+
+
+def zn_sum_per_sample(model, t, n, base):
+    """The per-sample loop of the smooth-kind Z_n, kept as the reference."""
+    lo, hi = base
+    pset = periodic_points(model, n)
+    total, count = 0.0, 0
+    for point, log_deriv in zip(pset.points.tolist(), pset.log_derivs.tolist()):
+        if lo <= point < hi:
+            total += math.exp(-t * log_deriv)
+            count += 1
+    return total, count
+
+
+ZN_BASES = [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0 + 1e-12), (0.3, 0.7), (1 / 3, 2 / 3)]
+
+
+@pytest.mark.parametrize("base", ZN_BASES)
+def test_doubling_zn_code_range_matches_mask_bitwise(base):
+    model = doubling_grid_model(normalize(build_tail(3.0, 1), 2.0))
+    for n in range(1, 17):
+        for t in (0.5, 1.0, 1.7):
+            z = zn_sum(model, t, n, base)
+            assert (z.value, z.in_base) == zn_sum_by_mask(model, t, n, base)
+            assert z.skipped == 0
+
+
+def test_doubling_zn_base_edge_on_a_point():
+    # for even n, 1/3 = ((2^n - 1)/3) / (2^n - 1) is a period-n point and sits
+    # in the half-open base [1/3, 2/3), while 2/3 is a point left out
+    model = doubling_grid_model(transient_grid_sequence())
+    for n in (2, 4, 8, 16):
+        third = ((1 << n) - 1) // 3
+        assert third / float((1 << n) - 1) == 1 / 3
+        assert zn_sum(model, 1.0, n, (1 / 3, 2 / 3)).in_base == third
+        assert zn_sum(model, 1.0, n, (1 / 3, 1 / 3)).in_base == 0
+        # the all-ones word sits at nextafter(1, 0)
+        below_one = math.nextafter(1.0, 0.0)
+        assert zn_sum(model, 1.0, n, (below_one, 2.0)).in_base == 1
+        assert zn_sum(model, 1.0, n, (0.0, below_one)).in_base == (1 << n) - 1
+
+
+@pytest.mark.parametrize("model", [chebyshev_model(), manneville_pomeau_model(0.5)],
+                         ids=["chebyshev", "mp"])
+@pytest.mark.parametrize("base", ZN_BASES)
+def test_smooth_zn_matches_per_sample_loop_bitwise(model, base):
+    n_top = 16 if model.kind == "chebyshev" else 10
+    for n in range(1, n_top + 1):
+        for t in (-2.0, 0.5, 1.0):
+            z = zn_sum(model, t, n, base)
+            assert (z.value, z.in_base) == zn_sum_per_sample(model, t, n, base)
+
+
+@pytest.mark.parametrize("model", [chebyshev_model(),
+                                   doubling_grid_model(transient_grid_sequence())],
+                         ids=["chebyshev", "doubling"])
+def test_zn_infinite_base_is_the_whole_domain(model):
+    for n in (1, 5, 12):
+        whole = zn_sum(model, 0.7, n)
+        assert zn_sum(model, 0.7, n, (-math.inf, math.inf)) == whole
+        assert zn_sum(model, 0.7, n, (0.0, math.inf)) == whole
+
+
+def test_periodic_points_arrays_in_code_order():
+    pset = periodic_points(chebyshev_model(), 6)
+    assert np.all(np.diff(pset.codes) > 0)
+    assert len(pset.codes) == len(pset.points) == len(pset.log_derivs)
+    assert not pset.points.flags.writeable
+    grid = periodic_points(doubling_grid_model(transient_grid_sequence()), 6)
+    assert np.array_equal(grid.codes, np.arange(64))
+    assert np.all(np.diff(grid.points) > 0) and grid.points[-1] < 1.0

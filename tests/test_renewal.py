@@ -5,7 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from thermoform import (EnvelopeError, IndeterminateError, RenewalModel,
+from thermoform import (EnvelopeError, IndeterminateError,
+                        LocallyConstantPotential, RenewalModel,
                         TailEnvelope, build_transfer_matrix, certified_G,
                         certified_series, classify, conformal_atom_masses,
                         cyr_sarig_witness, finite_truncation, flat_transitions,
@@ -324,6 +325,22 @@ def test_finite_truncation_pressures_rise_to_the_closed_form():
     # past depth ~100 the truncations agree with the root to rounding
     assert all(b >= a - 1e-13 for a, b in zip(pressures, pressures[1:]))
     assert abs(pressures[-1] - (LOG2 - t)) <= 1e-4
+
+
+def test_truncation_matrix_matches_the_dict_potential_bitwise():
+    # the per-symbol array finite_truncation builds gives the transfer matrix
+    # a dict of (i,) -> value gives
+    for n_max in (2, 30, 200):
+        shift, pot = finite_truncation(geometric_model(1.0), 0.3, n_max)
+        by_dict = LocallyConstantPotential(1, {(i,): float(v)
+                                               for i, v in enumerate(pot.values.array)})
+        assert pot == by_dict
+        for scale in (1.0, 0.7):
+            got = build_transfer_matrix(shift, pot.scaled(scale))
+            want = build_transfer_matrix(shift, by_dict.scaled(scale))
+            assert got.states == want.states and got.index == want.index
+            for name in ("rows", "cols", "vals"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_large_truncation_never_goes_dense():

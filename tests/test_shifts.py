@@ -71,8 +71,6 @@ def test_long_cycle_is_not_mixing_without_a_dense_matrix():
 
 def test_enumerate_counts_full_shift():
     assert len(enumerate_periodic_words(full_shift(2), 3)) == 8
-    words = enumerate_periodic_words(full_shift(3), 2, first_symbol=2)
-    assert len(words) == 3 and all(w[0] == 2 for w in words)
     assert enumerate_periodic_words(cycle_shift(2), 3) == []
 
 
@@ -122,6 +120,20 @@ def test_birkhoff_depth1():
     assert birkhoff_sum(pot, (0, 0, 1)) == pytest.approx(2 * math.log(p) + math.log(q), abs=1e-15)
     zero = LocallyConstantPotential.constant(shift, 0.0)
     assert birkhoff_sum(zero, (0, 1, 1, 0)) == 0.0
+
+
+def test_symbol_values_errors_match_the_dict_path():
+    shift = full_shift(3)
+    with pytest.raises(ValueError, match=r"value for \(1,\) is not finite"):
+        LocallyConstantPotential.from_symbol_values(shift, [0.0, math.inf, 1.0])
+    with pytest.raises(ValueError, match=r"missing \[\(2,\)\], extra \[\]"):
+        LocallyConstantPotential.from_symbol_values(shift, [0.0, 1.0])
+    pot = LocallyConstantPotential.from_symbol_values(full_shift(2), [0.5, -1.0])
+    assert list(pot.values.items()) == [((0,), 0.5), ((1,), -1.0)]
+    assert pot == LocallyConstantPotential(1, {(0,): 0.5, (1,): -1.0})
+    for key in ((2,), (0, 1), (-1,)):
+        with pytest.raises(KeyError):
+            pot(key)
 
 
 def test_birkhoff_depth2_cyclic():
