@@ -8,12 +8,12 @@ writes the files.  The model logic lives in the library.
 Outputs are deterministic: fixed column order, 17-significant-digit floats,
 LF line endings, sorted JSON keys, and no timestamps inside data files
 (timing goes to stderr).  Exit codes: 0 success; 2 validation error,
-including a task the model kind does not support, a NaN or infinite t
-(t, t_values, t_min, t_max, bracket), t_min >= t_max, a Z_n base with a
-NaN end or base[0] >= base[1] (an infinite end reaches past the domain)
-and a root tolerance outside (0, 1e-6]; 3 numerical failure
-(indeterminacy, no convergence, overflow or another ArithmeticError).
-Each failure prints one line to stderr.
+including a task the model kind does not support, a t value (t,
+t_values, t_min, t_max, bracket) that is NaN, infinite or past the float
+range, t_min >= t_max, a Z_n base with a NaN end or base[0] >= base[1]
+(an infinite end reaches past the domain) and a root tolerance outside
+(0, 1e-6]; 3 numerical failure (indeterminacy, no convergence, overflow or
+another ArithmeticError).  Each failure prints one line to stderr.
 
     thermoform run <config.json> -o <dir> [--tol <x>] [--gnuplot]
     thermoform demo <name> -o <dir> [--tol <x>]
@@ -289,17 +289,25 @@ def _check_tol(name: str, value: float) -> float:
 _T_KEYS = ("t", "t_min", "t_max", "t_values", "bracket")  # task keys holding t values
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def _check_tasks(kind: str, task: dict) -> None:
-    """Reject unsupported tasks, non-finite t values, reversed grids and NaN,
-    reversed or empty Z_n base intervals before anything is solved.  An
-    infinite base end is allowed: it reaches past the domain."""
+    """Reject unsupported tasks, t values that are not finite floats,
+    reversed grids and NaN, reversed or empty Z_n base intervals before
+    anything is solved.  An infinite base end is allowed: it reaches past
+    the domain."""
     for name, sub in task.items():
         if name not in TASKS[kind]:
             raise ValueError(f"task {name!r} is not supported for a {kind} model")
         for key in _T_KEYS:
             values = sub.get(key, [])
             for x in values if isinstance(values, list) else [values]:
-                if not math.isfinite(x):
+                if not _finite(x):
                     raise ValueError(f"{name}.{key} must be finite, got {x}")
         if name == "pressure_curve" and sub["t_min"] >= sub["t_max"]:
             raise ValueError(f"pressure_curve needs t_min < t_max, got "

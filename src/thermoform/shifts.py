@@ -198,8 +198,8 @@ class SymbolValues(Mapping):
         self.array.flags.writeable = False
 
     def __getitem__(self, key):
-        if (len(key) == 1 and isinstance(key[0], (int, np.integer))
-                and 0 <= key[0] < len(self.array)):
+        if (isinstance(key, tuple) and len(key) == 1
+                and isinstance(key[0], (int, np.integer)) and 0 <= key[0] < len(self.array)):
             return float(self.array[key[0]])
         raise KeyError(key)
 

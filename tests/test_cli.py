@@ -213,6 +213,7 @@ def test_doubling_grid_sequence_table_runs_on_its_sequence(tmp_path, capsys):
     ({"model": "renewal", "renewal": GRID, "task": {"classify": {"t": math.nan}}}, 2),
     ({"model": "renewal", "renewal": GRID, "task": {"witness": {"t": -math.inf}}}, 2),
     ({"model": "renewal", "renewal": GRID, "task": {"transitions": {"bracket": [0.5, math.inf]}}}, 2),
+    ({"model": "interval", "interval": DOUBLING, "task": {"zn": {"t": 10 ** 400, "n_max": 4}}}, 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
     got, lines = run_main(tmp_path, capsys, cfg)
