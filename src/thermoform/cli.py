@@ -39,9 +39,8 @@ from .errors import ConvergenceError, IndeterminateError
 from .intervalmaps import (CHEBYSHEV, DOUBLING_GRID, MANNEVILLE_POMEAU,
                            chebyshev_model, chebyshev_pressure_curve,
                            doubling_grid_model, gurevich_estimate,
-                           hofbauer_doubling_model, manneville_pomeau_model,
-                           mp_induced_model, two_slope_kink, zn_sum)
-from .renewal import (NON_UNIQUE, ONSET_OF_FLAT, POSITIVE_RECURRENT, classify,
+                           manneville_pomeau_model, two_slope_kink, zn_sum)
+from .renewal import (DEFAULT_ROOT_TOL, DEFAULT_SUM_TOL, ONSET_OF_FLAT, classify,
                       conformal_atom_masses, cyr_sarig_witness,
                       flat_transitions, pressure_curve, solve_pressure)
 from .sequences import (RealizedSequence, SequenceSpec, from_spec,
@@ -122,9 +121,7 @@ def _parse_interval(block: dict):
     if kind == CHEBYSHEV:
         return chebyshev_model()
     if kind == MANNEVILLE_POMEAU:
-        if "alpha" not in block:
-            raise ValueError("manneville_pomeau requires alpha")
-        return manneville_pomeau_model(block["alpha"])
+        return manneville_pomeau_model(block.get("alpha"))  # the model checks alpha
     head = (block.get("head_value", 0.0),) * block.get("head_count", 1)
     seq = RealizedSequence(head, block.get("gamma"), len(head))
     return doubling_grid_model(seq)
@@ -196,8 +193,7 @@ def _finite_classify(sub: dict, run) -> dict:
     t = sub["t"]
     dec = decompose_components(run.shift, run.potential, t=float(t))
     return {"t": t, "pressure": dec.pressure, "n_components": len(dec.components),
-            "n_maximizers": len(dec.maximizers),
-            "class": POSITIVE_RECURRENT if dec.unique_maximizer else NON_UNIQUE}
+            "n_maximizers": len(dec.maximizers), "class": dec.kind}
 
 
 def _transitions(sub: dict, run) -> dict:
@@ -332,10 +328,8 @@ def _parse_subjects(config: dict, task: dict, run) -> None:
         run.interval = _parse_interval(block)
         run.seq = run.interval.seq
         if run.interval.kind != CHEBYSHEV and task.keys() & _RENEWAL_TASKS.keys():
-            # the first-return renewal model, resolved once for every renewal task
-            run.renewal = (mp_induced_model(run.interval.alpha, block.get("levels", 150))
-                           if run.interval.kind == MANNEVILLE_POMEAU
-                           else hofbauer_doubling_model(run.seq))
+            # resolved once for every renewal task
+            run.renewal = run.interval.first_return(block.get("levels", 150))
 
 
 def run_config(config: dict, outdir: str, root_tol: float | None = None,
@@ -347,8 +341,8 @@ def run_config(config: dict, outdir: str, root_tol: float | None = None,
     _check_tasks(kind, task)
     tolerances = config.get("tolerances", {})
     rt = _check_tol("root_tol", root_tol if root_tol is not None
-                    else tolerances.get("root_tol", 1e-10))
-    st = _check_tol("sum_tol", tolerances.get("sum_tol", 1e-12))
+                    else tolerances.get("root_tol", DEFAULT_ROOT_TOL))
+    st = _check_tol("sum_tol", tolerances.get("sum_tol", DEFAULT_SUM_TOL))
     run = SimpleNamespace(root_tol=rt, sum_tol=st, gnuplot=gnuplot, files={}, warnings=[])
     _parse_subjects(config, task, run)
     outputs = {name: handler(task[name], run)

@@ -99,7 +99,6 @@ def run_demo(name: str, outdir: str, root_tol: float | None = None,
     if name == "hofbauer-rows":
         os.makedirs(outdir, exist_ok=True)
         rows = []
-        reports = []
         for cfg in _rows_suite():
             label = cfg.pop("label")
             part_dir = os.path.join(outdir, label.split(",")[0].replace(" ", "_"))
@@ -108,7 +107,6 @@ def run_demo(name: str, outdir: str, root_tol: float | None = None,
             g = out["G"]
             rows.append((label, out["class"], out["pressure"],
                          g["lower"], g["upper"] if g["upper"] is not None else math.inf))
-            reports.append({"label": label, "report": report})
         write_csv(os.path.join(outdir, "rows.csv"),
                   ["row", "class", "pressure", "G_lower", "G_upper"], rows)
         summary = {"inputs": _rows_suite(), "rows": [r[0] for r in rows],

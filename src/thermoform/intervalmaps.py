@@ -100,6 +100,15 @@ class IntervalMapModel:
     def right_closed(self) -> bool:
         return self.kind == CHEBYSHEV
 
+    def first_return(self, levels: int) -> RenewalModel:
+        """First-return renewal model on [1/2, 1): Manneville-Pomeau's fitted
+        `levels`-level model, or the doubling map's Hofbauer realization."""
+        if self.kind == CHEBYSHEV:
+            raise ValueError("chebyshev has no first-return renewal model")
+        if self.kind == MANNEVILLE_POMEAU:
+            return mp_induced_model(self.alpha, levels)
+        return hofbauer_doubling_model(self.seq)
+
 
 def chebyshev_model() -> IntervalMapModel:
     return IntervalMapModel(CHEBYSHEV)

@@ -9,14 +9,17 @@ exp of the Birkhoff sums.
 A matrix is three numpy arrays, rows, cols and vals, in CSR order (by row,
 then column).  T x is np.bincount(rows, weights=vals * x[cols]), which adds
 each row's products in column order starting from zero, as a CSR product
-does; x T is the same call on the entries reordered by column.  Primitivity
-is shifts.strong_period == 1, and components come from the same
-breadth-first levels (shifts.bfs_levels).
+does; x T is the same call on the entries reordered by column.  Components
+come from breadth-first levels (shifts.bfs_levels).  On a component of
+period d (shifts.strong_period) the power iteration runs on T^d, whose
+primitive diagonal blocks share the Perron root lambda^d (Seneta 1981,
+Ch. 1); d = 1 is the mixing case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -33,17 +36,22 @@ POWER_STEPS = 10 ** 6  # power-iteration cap of solve_rpf and decompose_componen
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    states: list  # admissible words of the potential's depth
-    index: dict
+    size: int  # number of states
     rows: np.ndarray  # target state of each entry, entries in CSR order
     cols: np.ndarray  # source state
     vals: np.ndarray  # exp(phi(source))
     shift: FiniteShift
     potential: LocallyConstantPotential
+    words: list | None = None  # the states past depth 1
 
-    @property
-    def size(self) -> int:
-        return len(self.states)
+    @cached_property
+    def states(self) -> list:
+        """Admissible words of the potential's depth, built on first use at depth 1."""
+        return self.words or [(i,) for i in range(self.size)]
+
+    @cached_property
+    def index(self) -> dict:
+        return {s: i for i, s in enumerate(self.states)}
 
     def dense(self) -> np.ndarray:
         """The (size, size) float matrix; refused above DENSE_LIMIT states."""
@@ -66,38 +74,31 @@ def build_transfer_matrix(shift: FiniteShift,
     if k == 1:
         # fast path: states are the symbols themselves
         m = shift.alphabet_size
-        states = [(i,) for i in range(m)]
         values = potential.values
         if isinstance(values, SymbolValues) and len(values) >= m:
             phi = values.array[:m]
         else:
             phi = np.array([potential((i,)) for i in range(m)], dtype=float)
-        weights = np.exp(phi)
+        with np.errstate(over="raise"):  # as math.exp on the deeper path
+            weights = np.exp(phi)
         src, dst = shift.edges()
         by_target = np.argsort(dst, kind="stable")  # sources stay sorted within a target
         src, dst = src[by_target], dst[by_target]
-        return TransferMatrix(states, {s: i for i, s in enumerate(states)},
-                              dst, src, weights[src], shift, potential)
+        return TransferMatrix(m, dst, src, weights[src], shift, potential)
 
     states = enumerate_admissible_words(shift, k)
-    if not states:
-        raise ValueError("empty state set")
     index = {w: i for i, w in enumerate(states)}
     rows, cols, vals = [], [], []
     for ci, w in enumerate(states):
         weight = math.exp(potential(w))
-        base = w[1:]
-        for j in shift.successors(w[-1]):
-            nxt = base + (int(j),)
-            ri = index.get(nxt)
-            if ri is not None:
-                rows.append(ri)
-                cols.append(ci)
-                vals.append(weight)
+        for j in shift.successors(w[-1]):  # w[1:] + (j,) is admissible, so a state
+            rows.append(index[w[1:] + (int(j),)])
+            cols.append(ci)
+            vals.append(weight)
     rows = np.array(rows, dtype=np.int64)
     by_row = np.argsort(rows, kind="stable")  # cols were appended in increasing order
-    return TransferMatrix(states, index, rows[by_row], np.array(cols, dtype=np.int64)[by_row],
-                          np.array(vals, dtype=float)[by_row], shift, potential)
+    return TransferMatrix(len(states), rows[by_row], np.array(cols, dtype=np.int64)[by_row],
+                          np.array(vals, dtype=float)[by_row], shift, potential, states)
 
 
 @dataclass(frozen=True)
@@ -114,55 +115,70 @@ class RPFSolution:
     matrix: TransferMatrix
 
 
-def _check_primitive(tm: TransferMatrix) -> None:
-    nonzero = tm.vals != 0  # an underflowed weight is no edge
-    period = strong_period(tm.size, tm.rows[nonzero], tm.cols[nonzero])
-    if period == 0:
-        raise NotMixingError(
-            "transfer graph is not strongly connected; use decompose_components")
-    if period != 1:
-        raise NotMixingError(
-            "transfer graph is periodic (not topologically mixing); "
-            "use decompose_components")
+def _positive(x: float, what: str) -> float:
+    if not 0.0 < x < math.inf:  # false for nan too
+        raise FloatingPointError(f"power iteration: {what} is {x}; check exp(t * phi) "
+                                 "for overflow, underflow or nan")
+    return x
 
 
-def _power_iterate(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                   tol: float):
-    by_col = np.argsort(cols, kind="stable")
-    t_rows, t_cols, t_vals = cols[by_col], rows[by_col], vals[by_col]
-    h = np.full(n, 1.0)
-    m = np.full(n, 1.0)
-    lam = 1.0
-    res = math.inf
+def _apply(rows, cols, vals, x: np.ndarray, period: int) -> tuple:
+    """(T^period x / S, log S), x rescaled to max 1 between the applications."""
+    log_scale = 0.0
+    for _ in range(period - 1):
+        x = np.bincount(rows, weights=vals * x[cols], minlength=len(x))
+        top = _positive(float(np.max(x)), "an iterate's maximum")
+        x, log_scale = x / top, log_scale + math.log(top)
+    return np.bincount(rows, weights=vals * x[cols], minlength=len(x)), log_scale
+
+
+def _power_iterate(tm: TransferMatrix, tol: float, period: int = 1):
+    """(log lambda, h, m, residual, steps) by power iteration on T^period.
+
+    lambda^period, the Rayleigh quotient times h's rescalings, is held in
+    logs.  The stop is scale-invariant: h and m each miss their eigenvalue
+    equation by at most tol times the eigenvalue.  The residual returned is
+    that miss times lambda: max(|Th - lambda h|, |mT - lambda m|) at period 1.
+    """
+    by_col = np.argsort(tm.cols, kind="stable")
+    forward, backward = (tm.rows, tm.cols, tm.vals), (tm.cols[by_col], tm.rows[by_col],
+                                                      tm.vals[by_col])
+    h = m = np.full(tm.size, 1.0)
     for it in range(1, POWER_STEPS + 1):
-        th = np.bincount(rows, weights=vals * h[cols], minlength=n)
-        tm = np.bincount(t_rows, weights=t_vals * m[t_cols], minlength=n)
-        lam = float(m @ th) / float(m @ h)
-        scale = max(lam, 1.0)
-        res = max(float(np.max(np.abs(th - lam * h))),
-                  float(np.max(np.abs(tm - lam * m)))) / scale
-        h = th / np.max(th)
-        m = tm / np.max(tm)
+        th, log_h = _apply(*forward, h, period)
+        tm_, log_m = _apply(*backward, m, period)
+        lam = _positive(float(m @ th) / float(m @ h), "the Perron estimate")  # over h's rescalings
+        lam_m = _positive(lam * math.exp(log_h - log_m), "the Perron estimate")  # over m's
+        res = max(float(np.max(np.abs(th - lam * h))) / lam,
+                  float(np.max(np.abs(tm_ - lam_m * m))) / lam_m)
+        h = th / _positive(float(np.max(th)), "an iterate's maximum")
+        m = tm_ / _positive(float(np.max(tm_)), "an iterate's maximum")
         if res <= tol:
-            return lam, h, m, res * scale, it
+            pressure = (log_h + math.log(lam)) / period
+            return pressure, h, m, res * math.exp(pressure), it
     raise ConvergenceError(
         f"power iteration did not reach tol {tol} in {POWER_STEPS} iterations "
         f"(residual {res:.3e})", residual=res)
 
 
+def _rpf_solution(tmatrix, pressure, h, m, residual, iterations) -> RPFSolution:
+    m = m / m.sum()
+    return RPFSolution(pressure, h, m, h * m / (h * m).sum(), residual, iterations, tmatrix)
+
+
 def solve_rpf(tmatrix: TransferMatrix, tol: float = 1e-12) -> RPFSolution:
     """Power iteration for the Perron triple of a mixing transfer matrix.
 
-    Raises NotMixingError for reducible/periodic inputs and ConvergenceError
-    when the residual cap is hit.
+    Raises NotMixingError for reducible/periodic inputs, ConvergenceError
+    when the step cap is hit and FloatingPointError at an estimate that is
+    not finite and positive.
     """
-    _check_primitive(tmatrix)
-    lam, h, m, res, it = _power_iterate(tmatrix.size, tmatrix.rows, tmatrix.cols,
-                                        tmatrix.vals, tol)
-    m = m / m.sum()
-    mu = h * m
-    mu = mu / mu.sum()
-    return RPFSolution(math.log(lam), h, m, mu, res, it, tmatrix)
+    nonzero = tmatrix.vals != 0  # an underflowed weight is no edge
+    period = strong_period(tmatrix.size, tmatrix.rows[nonzero], tmatrix.cols[nonzero])
+    if period != 1:  # strong_period is 0 on a graph that is not strongly connected
+        raise NotMixingError(f"transfer graph is {'periodic' if period else 'reducible'}, "
+                             "not topologically mixing; use decompose_components")
+    return _rpf_solution(tmatrix, *_power_iterate(tmatrix, tol))
 
 
 def cylinder_weight(sol: RPFSolution, word) -> float:
@@ -171,17 +187,11 @@ def cylinder_weight(sol: RPFSolution, word) -> float:
     pot = sol.matrix.potential
     k = pot.depth
     if len(w) < k:
-        total = 0.0
-        for state in sol.matrix.states:
-            if state[:len(w)] == w:
-                total += sol.mu[sol.matrix.index[state]]
-        return total
+        return float(sum(sol.mu[i] for i, state in enumerate(sol.matrix.states)
+                         if state[:len(w)] == w))
     z = float(sol.h @ sol.m)
-    s_part = 0.0
-    for i in range(len(w) - k):
-        s_part += pot(w[i:i + k])
-    tail_state = w[len(w) - k:]
-    m_tail = sol.m[sol.matrix.index[tail_state]]
+    s_part = sum(pot(w[i:i + k]) for i in range(len(w) - k))
+    m_tail = sol.m[sol.matrix.index[w[len(w) - k:]]]
     m_val = math.exp(s_part - (len(w) - k) * sol.pressure) * m_tail
     return sol.h[sol.matrix.index[w[:k]]] * m_val / z
 
@@ -213,8 +223,8 @@ def gibbs_constant_check(sol: RPFSolution, shift: FiniteShift,
 class ComponentSolution:
     symbols: list[int]  # original symbols of the component
     pressure: float
-    solution: RPFSolution | None  # None for a periodic component (root via T+I)
-    residual: float  # power-iteration residual, of T + I for a periodic component
+    solution: RPFSolution | None  # None for a periodic component
+    residual: float  # power-iteration residual; of T^d over e^(P(d-1)) at period d
 
 
 @dataclass(frozen=True)
@@ -226,6 +236,10 @@ class ComponentDecomposition:
     @property
     def unique_maximizer(self) -> bool:
         return len(self.maximizers) == 1
+
+    @property
+    def kind(self) -> str:  # a tie for the maximum leaves the equilibrium non-unique
+        return POSITIVE_RECURRENT if self.unique_maximizer else NON_UNIQUE
 
 
 def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) -> list:
@@ -268,20 +282,6 @@ def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) ->
     return comps
 
 
-def _plus_identity(tm: TransferMatrix):
-    """(rows, cols, vals) of T + I in CSR order."""
-    diag = tm.rows == tm.cols
-    vals = tm.vals.copy()
-    vals[diag] += 1.0
-    missing = np.ones(tm.size, dtype=bool)
-    missing[tm.rows[diag]] = False
-    new = np.nonzero(missing)[0]
-    rows = np.concatenate([tm.rows, new])
-    cols = np.concatenate([tm.cols, new])
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], np.concatenate([vals, np.ones(len(new))])[order]
-
-
 def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential,
                          t: float = 1.0, tol: float = 1e-12,
                          components: list | None = None) -> ComponentDecomposition:
@@ -298,12 +298,11 @@ def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential
     comps: list[ComponentSolution] = []
     for symbols, sub_shift, sub_pot in components:
         tm = build_transfer_matrix(sub_shift, sub_pot.scaled(t))
-        try:
-            sol = solve_rpf(tm, tol=tol)
-            comps.append(ComponentSolution(symbols, sol.pressure, sol, sol.residual))
-        except NotMixingError:  # periodic: T + I is primitive, with Perron root 1 + root of T
-            lam, _, _, res, _ = _power_iterate(tm.size, *_plus_identity(tm), tol)
-            comps.append(ComponentSolution(symbols, math.log(lam - 1.0), None, res))
+        # the graph's period: a weight that underflowed to 0 keeps its edge
+        period = strong_period(tm.size, tm.rows, tm.cols)
+        pressure, h, m, res, it = _power_iterate(tm, tol, period)
+        sol = _rpf_solution(tm, pressure, h, m, res, it) if period == 1 else None
+        comps.append(ComponentSolution(symbols, pressure, sol, res))
     pressures = np.array([c.pressure for c in comps])
     total = float(pressures.max())
     maximizers = [i for i, p in enumerate(pressures) if p >= total - 1e-9]
@@ -341,8 +340,7 @@ def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotentia
         widths[i] = max(dec.components[j].residual for j in dec.maximizers)
     ps = np.array([dec.pressure for dec in decs])
     check_curve(ts, ps)
-    unique = [dec.unique_maximizer for dec in decs]
     warnings = [] if mixing else ["shift is not mixing; component maximum reported"]
-    return PressureCurve(ts, ps, [POSITIVE_RECURRENT if u else NON_UNIQUE for u in unique],
-                         ders, ["analytic" if u else "kink" for u in unique],
+    return PressureCurve(ts, ps, [dec.kind for dec in decs], ders,
+                         ["analytic" if dec.unique_maximizer else "kink" for dec in decs],
                          np.ones(len(ts)), widths, [], warnings), mixing

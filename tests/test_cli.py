@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -214,10 +216,46 @@ def test_doubling_grid_sequence_table_runs_on_its_sequence(tmp_path, capsys):
     ({"model": "renewal", "renewal": GRID, "task": {"witness": {"t": -math.inf}}}, 2),
     ({"model": "renewal", "renewal": GRID, "task": {"transitions": {"bracket": [0.5, math.inf]}}}, 2),
     ({"model": "interval", "interval": DOUBLING, "task": {"zn": {"t": 10 ** 400, "n_max": 4}}}, 2),
+    ({"model": "interval", "interval": {"kind": "manneville_pomeau"},
+      "task": {"classify": {"t": 1.0}}}, 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
     got, lines = run_main(tmp_path, capsys, cfg)
     assert got == code and len(lines) == 1
+
+
+@pytest.mark.parametrize("values, task", [
+    ((0.0, 400.0), {"pressure_curve": {"t_min": -2.0, "t_max": 2.0, "steps": 9}}),  # e^800
+    ((-800.0, -800.0), {"classify": {"t": 1.0}}),  # every weight underflows to 0
+])
+def test_non_finite_weights_exit_3_with_one_line(tmp_path, capsys, values, task):
+    cfg = {**finite_config([[1, 1], [1, 1]], 1, {"0": values[0], "1": values[1]}), "task": task}
+    started = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second line
+        code, lines = run_main(tmp_path, capsys, cfg)
+    assert time.monotonic() - started <= 2.0
+    assert code == 3 and len(lines) == 1 and "numerical failure" in lines[0]
+
+
+def test_curve_with_underflowed_weights_exits_0(tmp_path, capsys):
+    cfg = finite_config([[1, 1], [1, 1]], 1, {"0": 0.0, "1": -800.0}, 0.0, 2.0, 3)
+    code, _ = run_main(tmp_path, capsys, cfg)
+    assert code == 0
+    _, rows = read_curve(tmp_path / "out" / "curve.csv")
+    assert [float(r[1]) for r in rows] == [LOG2, 0.0, 0.0]
+    assert [r[3] for r in rows] == ["-400", "0", "0"]  # Dp
+    assert [r[5] for r in rows] == ["0", "0", "0"]  # enclosure_width
+
+
+def test_two_cycle_far_below_one_keeps_its_digits(tmp_path, capsys):
+    # 1 + e^-40 rounds to 1, which a T + I root could not undo
+    cfg = finite_config([[0, 1], [1, 0]], 1, {"0": -40.0, "1": -40.0}, 0.0, 2.0, 5)
+    code, _ = run_main(tmp_path, capsys, cfg)
+    assert code == 0
+    _, rows = read_curve(tmp_path / "out" / "curve.csv")
+    for row in rows:
+        assert abs(float(row[1]) + 40.0 * float(row[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("task", [{"zn": {"t": math.nan, "n_max": 4}},

@@ -155,6 +155,17 @@ def transient_grid_sequence():
     return RealizedSequence((-LOG4,) * 30, 3.0, 30)
 
 
+def test_first_return_model_by_kind():
+    seq = transient_grid_sequence()
+    grid = doubling_grid_model(seq).first_return(150)
+    ns = np.arange(1, 60)
+    assert np.array_equal(grid.s_values(ns), hofbauer_doubling_model(seq).s_values(ns))
+    mp = manneville_pomeau_model(0.5).first_return(40)
+    assert np.array_equal(mp.s_values(ns), mp_induced_model(0.5, 40).s_values(ns))
+    with pytest.raises(ValueError, match="no first-return"):
+        chebyshev_model().first_return(150)
+
+
 def test_doubling_zn_matches_renewal_recursion():
     seq = transient_grid_sequence()
     interval = doubling_grid_model(seq)

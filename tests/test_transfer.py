@@ -203,11 +203,17 @@ def test_decompose_nonmixing_formula():
 
 
 def test_decompose_single_component_matches_solver():
-    shift, pot = bernoulli_setup(0.35)
-    dec = decompose_components(shift, pot, t=1.0)
-    direct = solve_rpf(build_transfer_matrix(shift, pot))
-    assert len(dec.components) == 1
-    assert dec.pressure == pytest.approx(direct.pressure, abs=1e-12)
+    golden = golden_mean_shift()
+    for (shift, pot), t in ((bernoulli_setup(0.35), 1.0),
+                            ((golden, LocallyConstantPotential.from_symbol_values(
+                                golden, [-0.7, 0.2])), 1.5)):
+        dec = decompose_components(shift, pot, t=t)
+        direct = solve_rpf(build_transfer_matrix(shift, pot.scaled(t)))
+        assert len(dec.components) == 1
+        comp = dec.components[0]  # the same iteration, bitwise
+        assert dec.pressure == direct.pressure and comp.residual == direct.residual
+        for name in ("h", "m", "mu"):
+            assert getattr(comp.solution, name).tobytes() == getattr(direct, name).tobytes()
 
 
 def test_decompose_handles_periodic_component():
@@ -221,8 +227,71 @@ def test_periodic_component_reports_its_residual():
     pot = LocallyConstantPotential.from_symbol_values(cyc, [-0.4, 0.3, -1.2])
     comp = decompose_components(cyc, pot, tol=1e-12).components[0]
     assert comp.solution is None
-    # the T + I iteration runs at the Perron root 1 + e^P
-    assert 0.0 <= comp.residual <= 1e-12 * (1.0 + math.exp(comp.pressure))
+    # the T^3 iteration's relative miss at tol, in units of the Perron root e^P
+    assert 0.0 <= comp.residual <= 1e-12 * math.exp(comp.pressure)
+
+
+def timed(fn):
+    started = time.monotonic()
+    out = fn()
+    assert time.monotonic() - started <= 0.1
+    return out
+
+
+@pytest.mark.parametrize("values", [[-20.0, -20.0], [-30.0, -30.0], [-36.0, -36.0],
+                                    [-40.0, -40.0], [0.0, -20.0], [0.0, -40.0],
+                                    [10.0] * 120, [-10.0] * 120])
+def test_cycle_component_pressure_is_the_mean_value(values):
+    # T^d is the scalar prod(exp(values)) on a d-cycle, so p = mean(values) at
+    # any scale: weights far below 1, unequal weights, lambda^120 past the
+    # float range either way
+    cyc = cycle_shift(len(values))
+    pot = LocallyConstantPotential.from_symbol_values(cyc, values)
+    dec = timed(lambda: decompose_components(cyc, pot, t=1.0))
+    assert abs(dec.pressure - sum(values) / len(values)) <= 1e-12
+    assert dec.components[0].solution is None and dec.kind == "positive-recurrent"
+
+
+@pytest.mark.parametrize("values", [(-40.0, -43.0), (-20.0, -23.0), (0.3, -1.0)])
+def test_golden_mean_root_at_any_scale(values):
+    # T = [[a, b], [a, 0]] has Perron root (a + sqrt(a^2 + 4ab)) / 2
+    a, b = (math.exp(v) for v in values)
+    shift = golden_mean_shift()
+    tm = build_transfer_matrix(shift, LocallyConstantPotential.from_symbol_values(shift, values))
+    sol = timed(lambda: solve_rpf(tm))
+    assert abs(sol.pressure - math.log(0.5 * (a + math.sqrt(a * a + 4 * a * b)))) <= 1e-12
+    lam = math.exp(sol.pressure)  # the stop is relative to lambda, however small
+    assert np.max(np.abs(tm.dense() @ sol.h - lam * sol.h)) <= 1e-12 * lam * 2
+
+
+def test_underflowed_weights_keep_the_graph_period():
+    # exp(-800) is 0.0, so symbol 1 loses its edges; the graph is still the
+    # full 2-shift, so the period-1 iteration gives p = 0 with its solution
+    shift = full_shift(2)
+    pot = LocallyConstantPotential.from_symbol_values(shift, [0.0, -800.0])
+    comp = decompose_components(shift, pot, t=1.0).components[0]
+    assert comp.pressure == 0.0 and comp.residual == 0.0
+    assert comp.solution.mu.tolist() == [1.0, 0.0]
+    with pytest.raises(NotMixingError):  # solve_rpf reads only the nonzero weights
+        solve_rpf(build_transfer_matrix(shift, pot))
+
+
+def test_non_finite_estimates_stop_at_once():
+    shift = full_shift(2)
+    under = LocallyConstantPotential.from_symbol_values(shift, [-800.0, -800.0])
+    with pytest.raises(FloatingPointError, match="Perron estimate is 0.0"):
+        timed(lambda: decompose_components(shift, under))
+    over = LocallyConstantPotential.from_symbol_values(shift, [0.0, 400.0])
+    with pytest.raises(FloatingPointError, match="overflow"):
+        decompose_components(shift, over, t=2.0)
+
+
+def test_depth_one_states_are_built_on_first_use():
+    shift = full_shift(3)
+    tm = build_transfer_matrix(shift, LocallyConstantPotential.constant(shift, 0.0))
+    assert tm.size == 3 and "states" not in vars(tm) and "index" not in vars(tm)
+    assert tm.states == [(0,), (1,), (2,)]
+    assert tm.index == {(0,): 0, (1,): 1, (2,): 2}
 
 
 def two_component_setup():
