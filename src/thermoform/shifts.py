@@ -68,6 +68,25 @@ def strong_period(n: int, sources: np.ndarray, targets: np.ndarray) -> int:
     return int(np.gcd.reduce(level[sources] + 1 - level[targets]))
 
 
+def cyclic_classes(n: int, sources: np.ndarray, targets: np.ndarray):
+    """The strongly connected classes carrying a cycle of the digraph on n
+    vertices with edges sources[e] -> targets[e], listed by source, in order
+    of their smallest vertex: each as its vertex mask and its inner edges,
+    relabelled 0..k-1 and still listed by source."""
+    by_target = np.argsort(targets, kind="stable")
+    forward, back = csr_indptr(sources, n), csr_indptr(targets[by_target], n)
+    free = np.ones(n, dtype=bool)
+    for first in range(n):
+        if free[first]:
+            cls = ((bfs_levels(forward, targets, first) >= 0)
+                   & (bfs_levels(back, sources[by_target], first) >= 0))
+            free &= ~cls
+            inner = cls[sources] & cls[targets]
+            if inner.any():  # else a lone vertex without a loop
+                label = np.cumsum(cls) - 1
+                yield cls, label[sources[inner]], label[targets[inner]]
+
+
 class FiniteShift:
     """A finite Markov shift given by its alphabet size and transition matrix.
 

@@ -10,10 +10,10 @@ A matrix is three numpy arrays, rows, cols and vals, in CSR order (by row,
 then column).  T x is np.bincount(rows, weights=vals * x[cols]), which adds
 each row's products in column order starting from zero, as a CSR product
 does; x T is the same call on the entries reordered by column.  Components
-come from breadth-first levels (shifts.bfs_levels).  On a component of
-period d (shifts.strong_period) the power iteration runs on T^d, whose
-primitive diagonal blocks share the Perron root lambda^d (Seneta 1981,
-Ch. 1); d = 1 is the mixing case.
+come from breadth-first levels (shifts.bfs_levels).  The power iteration
+runs on T^d, with d the lcm of the periods of the cycle-carrying classes of
+T's nonzero graph, so the diagonal blocks of T^d are primitive; on a
+periodic component they share the root lambda^d (Seneta 1981, Ch. 1).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import numpy as np
 from .errors import ConvergenceError, NotMixingError
 from .renewal import NON_UNIQUE, POSITIVE_RECURRENT, PressureCurve, check_curve
 from .shifts import (DENSE_LIMIT, FiniteShift, LocallyConstantPotential,
-                     SymbolValues, bfs_levels, csr_indptr,
-                     enumerate_admissible_words, is_admissible,
-                     is_topologically_mixing, strong_period)
+                     SymbolValues, enumerate_admissible_words, is_admissible,
+                     is_topologically_mixing, cyclic_classes, strong_period)
 
 POWER_STEPS = 10 ** 6  # power-iteration cap of solve_rpf and decompose_components
 
@@ -161,6 +160,20 @@ def _power_iterate(tm: TransferMatrix, tol: float, period: int = 1):
         f"(residual {res:.3e})", residual=res)
 
 
+def _period(tm: TransferMatrix) -> tuple[int, bool]:
+    """(d, strongly connected) for T's graph, where an underflowed weight is
+    no edge.  d is the lcm of the periods of the graph's classes that carry a
+    cycle, so T^d is primitive on each of their cyclic subclasses."""
+    nonzero = tm.vals != 0
+    src, dst = tm.rows[nonzero], tm.cols[nonzero]  # T's graph reversed, listed by source
+    d = strong_period(tm.size, src, dst)  # 0 when not strongly connected
+    if d:
+        return d, True
+    periods = (strong_period(int(cls.sum()), *edges)
+               for cls, *edges in cyclic_classes(tm.size, src, dst))
+    return math.lcm(*periods), False  # lcm() is 1: no class carries a cycle
+
+
 def _rpf_solution(tmatrix, pressure, h, m, residual, iterations) -> RPFSolution:
     m = m / m.sum()
     return RPFSolution(pressure, h, m, h * m / (h * m).sum(), residual, iterations, tmatrix)
@@ -173,10 +186,9 @@ def solve_rpf(tmatrix: TransferMatrix, tol: float = 1e-12) -> RPFSolution:
     when the step cap is hit and FloatingPointError at an estimate that is
     not finite and positive.
     """
-    nonzero = tmatrix.vals != 0  # an underflowed weight is no edge
-    period = strong_period(tmatrix.size, tmatrix.rows[nonzero], tmatrix.cols[nonzero])
-    if period != 1:  # strong_period is 0 on a graph that is not strongly connected
-        raise NotMixingError(f"transfer graph is {'periodic' if period else 'reducible'}, "
+    period, strong = _period(tmatrix)
+    if period != 1 or not strong:
+        raise NotMixingError(f"transfer graph is {'periodic' if strong else 'reducible'}, "
                              "not topologically mixing; use decompose_components")
     return _rpf_solution(tmatrix, *_power_iterate(tmatrix, tol))
 
@@ -247,31 +259,16 @@ def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) ->
     component that carries a cycle, its symbols, its sub-shift (symbols
     relabelled 0..k-1) and the potential relabelled onto it.
 
-    The component of the smallest unassigned symbol is its forward reach
-    intersected with its backward reach, so components come out sorted by
-    their first symbol.
+    Components come out sorted by their first symbol (shifts.cyclic_classes);
+    a wandering symbol, on no cycle, carries no invariant mass and is left out.
     """
     m = shift.alphabet_size
-    src, dst = shift.edges()
-    by_target = np.argsort(dst, kind="stable")
-    back_indptr, back_indices = csr_indptr(dst[by_target], m), src[by_target]
-    free = np.ones(m, dtype=bool)
     comps = []
-    for first in range(m):
-        if not free[first]:
-            continue
-        comp = ((bfs_levels(shift.indptr, shift.indices, first) >= 0)
-                & (bfs_levels(back_indptr, back_indices, first) >= 0))
-        free &= ~comp
-        if first == 0 and not free.any():
+    for comp, sub_src, sub_dst in cyclic_classes(m, *shift.edges()):
+        if comp.all():
             return [(list(range(m)), shift, potential)]
-        inner = comp[src] & comp[dst]
-        if not inner.any():
-            continue  # wandering symbol, no invariant mass
         symbols = [int(i) for i in np.nonzero(comp)[0]]
-        new_label = np.cumsum(comp) - 1
-        sub_shift = FiniteShift.from_edges(len(symbols), new_label[src[inner]],
-                                           new_label[dst[inner]])
+        sub_shift = FiniteShift.from_edges(len(symbols), sub_src, sub_dst)
         relabel = {orig: new for new, orig in enumerate(symbols)}
         vals = {tuple(relabel[s] for s in w): v for w, v in potential.values.items()
                 if all(s in relabel for s in w)}
@@ -298,8 +295,7 @@ def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential
     comps: list[ComponentSolution] = []
     for symbols, sub_shift, sub_pot in components:
         tm = build_transfer_matrix(sub_shift, sub_pot.scaled(t))
-        # the graph's period: a weight that underflowed to 0 keeps its edge
-        period = strong_period(tm.size, tm.rows, tm.cols)
+        period = _period(tm)[0]
         pressure, h, m, res, it = _power_iterate(tm, tol, period)
         sol = _rpf_solution(tm, pressure, h, m, res, it) if period == 1 else None
         comps.append(ComponentSolution(symbols, pressure, sol, res))

@@ -264,16 +264,33 @@ def test_golden_mean_root_at_any_scale(values):
     assert np.max(np.abs(tm.dense() @ sol.h - lam * sol.h)) <= 1e-12 * lam * 2
 
 
-def test_underflowed_weights_keep_the_graph_period():
-    # exp(-800) is 0.0, so symbol 1 loses its edges; the graph is still the
-    # full 2-shift, so the period-1 iteration gives p = 0 with its solution
+def test_underflowed_weights_are_no_edges():
+    # exp(-800) is 0.0, so symbol 1 loses its edges: the nonzero graph is the
+    # loop at 0 and the transient edge 0 -> 1, of period 1, so the iteration
+    # gives p = 0 with its solution; solve_rpf, on the same graph, finds it
+    # reducible
     shift = full_shift(2)
     pot = LocallyConstantPotential.from_symbol_values(shift, [0.0, -800.0])
     comp = decompose_components(shift, pot, t=1.0).components[0]
     assert comp.pressure == 0.0 and comp.residual == 0.0
     assert comp.solution.mu.tolist() == [1.0, 0.0]
-    with pytest.raises(NotMixingError):  # solve_rpf reads only the nonzero weights
+    with pytest.raises(NotMixingError, match="reducible"):
         solve_rpf(build_transfer_matrix(shift, pot))
+
+
+def test_underflow_leaving_a_periodic_class_takes_its_period():
+    # on an aperiodic graph the nonzero weights leave a 2-cycle of weights
+    # 1 and e^-1 (depth 2: states 01 and 10) or 1 and 1 (depth 1 at t = 80);
+    # a period-1 iteration would oscillate on it
+    shift = full_shift(2)
+    deep = LocallyConstantPotential(2, {(0, 0): -800.0, (1, 1): -800.0, (0, 1): 0.0,
+                                        (1, 0): -1.0}, shift)
+    dec = timed(lambda: decompose_components(shift, deep, t=1.0))
+    assert abs(dec.pressure + 0.5) <= 1e-12 and dec.components[0].solution is None
+    graph = FiniteShift.from_edges(3, [0, 1, 1, 2, 2], [1, 0, 2, 0, 2])
+    flat = LocallyConstantPotential.from_symbol_values(graph, [0.0, 0.0, -10.0])
+    dec = timed(lambda: decompose_components(graph, flat, t=80.0))
+    assert abs(dec.pressure) <= 1e-12 and dec.components[0].solution is None
 
 
 def test_non_finite_estimates_stop_at_once():
