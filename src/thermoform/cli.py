@@ -234,14 +234,17 @@ def _sequence_table(sub: dict, run) -> dict:
 
 def _zn(sub: dict, run) -> dict:
     base = tuple(sub.get("base", (0.0, 1.0 + 1e-12)))
-    rows = []
-    for n in range(1, sub["n_max"] + 1):
-        z = zn_sum(run.interval, sub["t"], n, base)
-        growth = math.log(z.value) / n if z.value > 0 else math.nan
-        rows.append((float(n), z.value, growth, float(z.in_base), float(z.skipped)))
+    zs = [zn_sum(run.interval, sub["t"], n, base) for n in range(1, sub["n_max"] + 1)]
+    rows = [(float(z.n), z.value, math.log(z.value) / z.n if z.value > 0 else math.nan,
+             float(z.in_base), float(z.skipped)) for z in zs]
     run.files["zn.csv"] = (write_csv, ["n", "Z_n", "log_Zn_over_n", "points_in_base",
                                        "skipped"], rows)
-    return {"t": sub["t"], "n_max": sub["n_max"], "base": _iv(base)}
+    payload = {"t": sub["t"], "n_max": sub["n_max"], "base": _iv(base)}
+    if run.interval.kind == DOUBLING_GRID:
+        # null where a term may have underflowed and no relative bound holds
+        rel_err = max(z.rel_err for z in zs)
+        payload["Z_n_rel_err_certified"] = None if math.isinf(rel_err) else rel_err
+    return payload
 
 
 def _gurevich(sub: dict, run) -> dict:

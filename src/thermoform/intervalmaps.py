@@ -4,10 +4,11 @@ Periodic orbits are found per itinerary: the coding cell is pulled back
 through inverse branches and the fixed point of the n-fold composition is
 bisected inside it (vectorized across all 2^n itineraries); the samples are
 kept as arrays in code order.  The doubling map uses exact dyadic arithmetic
-instead: the period-n point of itinerary w is w/(2^n - 1) and orbit sums of
-the level potential are pure bit counting, which is what makes the two-route
-partition-sum comparison exact.  Those points increase with w, so a
-half-open base interval is a range of codes.
+instead: the period-n point of itinerary w is w/(2^n - 1).  Those points
+increase with w, so a half-open base interval is a range of codes, and Z_n
+sums that range by dyadic prefix blocks through the renewal recursion of the
+first-return model, with a certified relative error bound and no array of
+2^n orbit sums.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .renewal import (FIRST_ORDER, NON_UNIQUE, POSITIVE_RECURRENT, TRANSIENT,
                       PressureCurve, RenewalModel, TailEnvelope, check_curve,
                       renewal_zn)
 from .sequences import RealizedSequence, realize_model, HOFBAUER
+from .series import _U
 
 LOG2 = math.log(2.0)
 
@@ -31,7 +33,8 @@ DOUBLING_GRID = "doubling_grid"
 
 _BISECT_STEPS = 60
 MP_MAX_LEVELS = 2000
-MAX_PERIOD = 22  # periodic points and Z_n hold arrays of 2^n itineraries
+MAX_PERIOD = 22  # periodic points hold arrays of 2^n itineraries (the doubling-grid
+                 # Z_n holds none but keeps the same cap)
 
 
 @dataclass(frozen=True)
@@ -266,34 +269,98 @@ def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
                             int(len(codes) - np.count_nonzero(ok)))
 
 
-def _grid_orbit_sums(seq: RealizedSequence, n: int) -> np.ndarray:
-    """S_n of the level potential at every period-n itinerary (exact bits).
+def _dyadic_blocks(c0: int, c1: int, n: int):
+    """Split the n-bit code range [c0, c1) into its largest aligned blocks.
 
-    The potential value along the orbit is a_k where k is the cyclic run of
-    zeros ahead of the current position; the all-zero word (the fixed point
-    at 0) contributes 0.  With table[c] that value at the n-bit word c, S_n
-    at c sums table over the n left rotations of c.  The words of bit length
-    j are the block [2^(j-1), 2^j), whose leading-zero run is n - j.
-    Rotating left by i swaps the top i bits (hi) with the low n - i bits
-    (lo), so row hi, column lo of the sums viewed as 2^i x 2^(n-i) takes
-    table viewed as 2^(n-i) x 2^i, transposed: the same values added in the
-    same order as word by word.
+    Yields (prefix, m, f): the block is every code whose top m = n - f bits
+    are prefix, with the low f bits free.  There are at most 2n blocks.
     """
-    table = np.zeros(1 << n)
-    for j in range(1, n + 1):
-        table[1 << (j - 1):1 << j] = seq.a(n - j)
-    total = np.zeros(1 << n)
-    for i in range(n):
-        total.reshape(1 << i, 1 << (n - i))[...] += table.reshape(1 << (n - i), 1 << i).T
-    return total
+    c = c0
+    while c < c1:
+        f = (c & -c).bit_length() - 1 if c else n
+        while c + (1 << f) > c1:
+            f -= 1
+        yield c >> f, n - f, f
+        c += 1 << f
+
+
+_EXP_LOG_ERR = 8.0 * _U  # np.exp and np.log are taken to be within 4 ulp
+_LOWEST_LOG = -700.0  # log of a bound safely above the smallest normal float
+
+
+def _doubling_zn(seq: RealizedSequence, t: float, n: int, c0: int, c1: int):
+    """Z_n over the codes [c0, c1) and a certified bound on its relative error.
+
+    Cut a cyclic word into blocks 0^k 1: a block of length l carries
+    w_l = exp(t s_l), and the all-zero word carries 1.  R_0 = 1 and
+    R_j = sum_l w_l R_(j-l) (renewal_zn of the Hofbauer first-return model)
+    sum the linear words of length j that end in a 1.  Each dyadic block of
+    the range, a prefix P of m bits and f = n - m free bits, sums in closed
+    form:
+
+    * P all zeros (m = 0 is the whole domain): the suffix is zero (weight 1)
+      or the word is one wrap-around block of length m + L, with L ways to
+      split its L - 1 zeros between the suffix's two ends, around a
+      composition: 1 + sum_L L w_(m+L) R_(f-L);
+    * P holding a 1, with p leading zeros, z zeros after its last 1 and C
+      the product of w over its complete blocks after the first 1: a zero
+      suffix leaves the wrap-around block w_(p+z+f+1); otherwise the
+      suffix's first 1 closes a block w_(z+u+1), its last 1 opens the wrap
+      w_(p+v+1), and a composition R_j sits between (u + j + v = f - 1).
+      Where p = z = 0 the words rotate to P's blocks followed by any
+      composition of f + 1, so the sum is C R_(f+1); P = 1 gives R_n.
+
+    Every term is positive, so the bound counts log-relative errors: the
+    weights carry the error of s (RealizedSequence.s_abs_err), the rounding
+    of t s and that of exp; a value built from k weights carries k times
+    theirs plus one u per rounded product or sum, at most
+    n(n+1)/2 + 4n of them on any path.  The bound is infinite where a term
+    could fall below the normal float range; an overflow raises
+    FloatingPointError.
+    """
+    with np.errstate(over="raise"):
+        r = np.concatenate(([1.0], renewal_zn(hofbauer_doubling_model(seq), t, n)))
+        log_w = t * seq.s_values(np.arange(1, n + 1, dtype=np.int64))
+        w = np.concatenate(([0.0], np.exp(log_w)))  # w[l] = w_l
+        total = 0.0
+        for prefix, m, f in _dyadic_blocks(c0, c1, n):
+            if prefix == 0:
+                total += 1.0 + float((np.arange(1, f + 1) * w[m + 1:m + f + 1]) @ r[:f][::-1])
+                continue
+            p = m - prefix.bit_length()
+            z = (prefix & -prefix).bit_length() - 1
+            core = prefix >> z  # P from its first 1 to its last 1
+            c, run = 1.0, 0
+            for i in range(core.bit_length() - 2, -1, -1):
+                run += 1
+                if core >> i & 1:
+                    c, run = c * w[run], 0
+            if p == z == 0:
+                total += c * r[f + 1]
+                continue
+            d = w[p + z + f + 1]
+            if f:
+                inner = np.convolve(w[z + 1:z + f + 1], w[p + 1:p + f + 1])[:f]
+                d += float(inner[::-1] @ r[:f])
+            total += c * d
+    # every term is a product of weights whose block lengths sum to at most n
+    if n * min(0.0, float(np.min(log_w / np.arange(1, n + 1)))) < _LOWEST_LOG:
+        return float(total), math.inf
+    lam_w = (abs(t) * seq.s_abs_err(n) + 1.01 * _U * float(np.max(np.abs(log_w)))
+             + 1.01 * _EXP_LOG_ERR)
+    return float(total), math.expm1(n * lam_w + (n * (n + 1) / 2 + 4 * n) * 1.01 * _U)
 
 
 @dataclass(frozen=True)
 class ZnResult:
+    """Z_n over the base; rel_err, on the doubling map only, certifies
+    |value - Z_n| <= rel_err * value (infinite where a term may underflow)."""
+
     n: int
     value: float
     in_base: int
     skipped: int
+    rel_err: float | None = None
 
 
 def zn_sum(model: IntervalMapModel, t: float, n: int,
@@ -301,7 +368,8 @@ def zn_sum(model: IntervalMapModel, t: float, n: int,
     """Periodic-orbit partition sum over points in the base interval.
 
     Weights are |Df^n|^(-t) for the smooth kinds and exp(t * S_n phi) for
-    the coded doubling map.  The base is half-open [lo, hi).
+    the coded doubling map, where the result carries a certified relative
+    error bound (see _doubling_zn).  The base is half-open [lo, hi).
     """
     if not 1 <= n <= MAX_PERIOD:
         raise ValueError(f"n must be in [1, {MAX_PERIOD}]")
@@ -312,8 +380,8 @@ def zn_sum(model: IntervalMapModel, t: float, n: int,
         # the points increase with the code, so the base is a code range
         c0, c1 = ((_dyadic_codes_below(lo, n), _dyadic_codes_below(hi, n)) if lo < hi
                   else (0, 0))
-        weights = np.exp(t * _grid_orbit_sums(model.seq, n)[c0:c1])
-        return ZnResult(n, float(np.sum(weights)), c1 - c0, 0)
+        value, rel_err = _doubling_zn(model.seq, t, n, c0, c1)
+        return ZnResult(n, value, c1 - c0, 0, rel_err)
     pset = periodic_points(model, n)
     keep = (pset.points >= lo) & (pset.points < hi)
     total = 0.0  # math.exp summed in code order, as sample by sample

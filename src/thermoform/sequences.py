@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .renewal import (RenewalModel, TailEnvelope, certified_G)
+from .series import _U
 
 LOG2 = math.log(2.0)
 
@@ -93,6 +94,19 @@ class RealizedSequence:
 
     def s(self, n: int) -> float:
         return float(self.s_values(np.array([n]))[0])
+
+    def s_abs_err(self, n: int) -> float:
+        """Bound on |s_values(k) - s_k| for 1 <= k <= n, s_k the exact sum.
+
+        The head's prefix sums (np.cumsum, and np.sum for s_cut) round at
+        most n_cut partial sums, each bounded by A = sum |a_k|.  The tail
+        kappa - gamma*log(k) adds two logs (within 4 ulp each), two products
+        and two sums, each bounded by A + |gamma| (log n_cut + log k).
+        """
+        bound = float(np.sum(np.abs(self.head)))
+        if self.gamma is not None:
+            bound += abs(self.gamma) * (math.log(self.n_cut) + math.log(max(n, self.n_cut)))
+        return 1.01 * (self.n_cut + 12) * _U * bound
 
     def envelope(self) -> TailEnvelope:
         if self.gamma is None:

@@ -238,6 +238,30 @@ def test_non_finite_weights_exit_3_with_one_line(tmp_path, capsys, values, task)
     assert code == 3 and len(lines) == 1 and "numerical failure" in lines[0]
 
 
+@pytest.mark.parametrize("task", [{"zn": {"t": -800.0, "n_max": 8}},
+                                  {"gurevich": {"t_values": [-800.0], "n_max": 8}}])
+def test_overflowing_doubling_sums_exit_3_with_one_line(tmp_path, capsys, task):
+    cfg = {"model": "interval", "interval": {**DOUBLING, "head_count": 30}, "task": task}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning is a second line
+        code, lines = run_main(tmp_path, capsys, cfg)
+    assert code == 3 and len(lines) == 1 and "numerical failure" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_doubling_zn_reports_its_certified_bound(tmp_path):
+    zn = {"t": 1.3, "n_max": 12, "base": [0.3, 0.7]}
+    report = run_config({"model": "interval", "interval": DOUBLING, "task": {"zn": zn}},
+                        str(tmp_path / "d"))
+    seq = RealizedSequence((-1.4,) * 3, 3.0, 3)
+    bounds = [thermoform.zn_sum(thermoform.doubling_grid_model(seq), 1.3, n, (0.3, 0.7)).rel_err
+              for n in range(1, 13)]
+    assert report["outputs"]["zn"]["Z_n_rel_err_certified"] == max(bounds) < 1e-12
+    smooth = run_config({"model": "interval", "interval": {"kind": "chebyshev"},
+                         "task": {"zn": zn}}, str(tmp_path / "c"))
+    assert "Z_n_rel_err_certified" not in smooth["outputs"]["zn"]
+
+
 def test_curve_with_underflowed_weights_exits_0(tmp_path, capsys):
     cfg = finite_config([[1, 1], [1, 1]], 1, {"0": 0.0, "1": -800.0}, 0.0, 2.0, 3)
     code, _ = run_main(tmp_path, capsys, cfg)
@@ -377,6 +401,13 @@ def test_base_set_pathology_demo(tmp_path):
     assert np.all(z0[:, 1] >= 1.0)
     rate = np.polyfit(z1[:, 0], np.log(z1[:, 1]), 1)[0]
     assert rate <= -0.01
+
+
+def test_base_set_pathology_good_base_is_exact(tmp_path):
+    # on [1/2, 1) Z_n is R_n of the renewal recursion, exactly 2^-(n+1) here
+    run_demo("base-set-pathology", str(tmp_path))
+    _, rows = read_curve(tmp_path / "base_1" / "zn.csv")
+    assert [float(r[1]) for r in rows] == [2.0 ** -(n + 1) for n in range(1, 15)]
 
 
 def test_gnuplot_emission(tmp_path):

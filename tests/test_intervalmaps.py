@@ -1,5 +1,8 @@
 import math
+import time
 
+from hypothesis import given, settings, strategies as st
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from thermoform import (RealizedSequence, chebyshev_model,
                         mp_induced_model, mp_preimage_ladder, periodic_points,
                         renewal_zn, sarig_series_diagnostic, solve_pressure,
                         two_slope_kink, zn_sum)
+from thermoform.intervalmaps import _dyadic_codes_below
 from thermoform.sequences import build_tail, normalize, realize_model
 
 LOG2 = math.log(2.0)
@@ -237,8 +241,31 @@ def test_zn_sum_caps_the_period():
         zn_sum(chebyshev_model(), 1.0, 23)
 
 
+def grid_orbit_sums(seq, n):
+    """S_n of the level potential at every period-n itinerary (exact bits).
+
+    The 2^n-array route the renewal block sums of zn_sum replaced, kept as
+    the reference.  The potential value along the orbit is a_k where k is
+    the cyclic run of zeros ahead of the current position; the all-zero word
+    (the fixed point at 0) contributes 0.  With table[c] that value at the
+    n-bit word c, S_n at c sums table over the n left rotations of c.  The
+    words of bit length j are the block [2^(j-1), 2^j), whose leading-zero
+    run is n - j.  Rotating left by i swaps the top i bits (hi) with the low
+    n - i bits (lo), so row hi, column lo of the sums viewed as
+    2^i x 2^(n-i) takes table viewed as 2^(n-i) x 2^i, transposed: the same
+    values added in the same order as word by word.
+    """
+    table = np.zeros(1 << n)
+    for j in range(1, n + 1):
+        table[1 << (j - 1):1 << j] = seq.a(n - j)
+    total = np.zeros(1 << n)
+    for i in range(n):
+        total.reshape(1 << i, 1 << (n - i))[...] += table.reshape(1 << (n - i), 1 << i).T
+    return total
+
+
 def orbit_sums_per_rotation(seq, n):
-    """The per-rotation loop _grid_orbit_sums replaced, kept as the reference."""
+    """The per-rotation loop grid_orbit_sums replaced, kept as the reference."""
     codes = np.arange(1 << n, dtype=np.int64)
     mask = (1 << n) - 1
     a_vals = np.array([seq.a(k) for k in range(n + 1)])
@@ -270,10 +297,8 @@ def orbit_sum_brute_force(seq, word):
 @pytest.mark.parametrize("seq", [normalize(build_tail(3.0, 1), 2.0),
                                  transient_grid_sequence()])
 def test_grid_orbit_sums_by_transposes(seq):
-    from thermoform.intervalmaps import _grid_orbit_sums
-
     for n in range(1, 17):
-        sums = _grid_orbit_sums(seq, n)
+        sums = grid_orbit_sums(seq, n)
         assert sums.tobytes() == orbit_sums_per_rotation(seq, n).tobytes()
         if n <= 10:
             for c in range(1 << n):
@@ -285,13 +310,11 @@ def test_grid_orbit_sums_by_transposes(seq):
 def zn_sum_by_mask(model, t, n, base):
     """The mask-based doubling-grid Z_n that the code-range slice replaced,
     kept as the reference: every point built, weighted and masked."""
-    from thermoform.intervalmaps import _grid_orbit_sums
-
     lo, hi = base
     codes = np.arange(1 << n, dtype=np.int64)
     pts = codes.astype(float) / float((1 << n) - 1)
     pts = np.where(codes == (1 << n) - 1, np.nextafter(1.0, 0.0), pts)
-    weights = np.exp(t * _grid_orbit_sums(model.seq, n))
+    weights = np.exp(t * grid_orbit_sums(model.seq, n))
     keep = (pts >= lo) & (pts < hi)
     return float(np.sum(weights[keep])), int(keep.sum())
 
@@ -311,14 +334,127 @@ def zn_sum_per_sample(model, t, n, base):
 ZN_BASES = [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0 + 1e-12), (0.3, 0.7), (1 / 3, 2 / 3)]
 
 
+class ZnOracle:
+    """Doubling-grid Z_n at 50 digits from the exact level values: the head
+    as stored, the tail gamma log(k/(k+1)) and s_l their exact sums.
+
+    Per word (cut into cyclic 0^k 1 blocks) for n <= 10; beyond that by the
+    renewal recursion R_j = sum_l w_l R_(j-l), summed over the dyadic blocks
+    below c1 minus those below c0, each by the general prefix formula.
+    """
+
+    N = 22
+
+    def __init__(self, seq, t):
+        with mpmath.workdps(50):
+            a = [mpmath.mpf(seq.a(k)) if k < seq.n_cut or seq.gamma is None
+                 else mpmath.mpf(seq.gamma) * mpmath.log(mpmath.mpf(k) / (k + 1))
+                 for k in range(self.N)]
+            s = np.cumsum([mpmath.mpf(0)] + a)
+            self.w = [None] + [mpmath.exp(mpmath.mpf(t) * s[k]) for k in range(1, self.N + 1)]
+            self.r = [mpmath.mpf(1)]
+            for j in range(1, self.N + 1):
+                self.r.append(sum(self.w[k] * self.r[j - k] for k in range(1, j + 1)))
+
+    def word(self, code, n):
+        ones = [i for i in range(n) if code >> (n - 1 - i) & 1]
+        if not ones:
+            return mpmath.mpf(1)
+        out = self.w[ones[0] + n - ones[-1]]  # the block through the wrap
+        for i, j in zip(ones, ones[1:]):
+            out *= self.w[j - i]
+        return out
+
+    def block(self, prefix, m, f):
+        w, r = self.w, self.r
+        if prefix == 0:
+            return 1 + sum(k * w[m + k] * r[f - k] for k in range(1, f + 1))
+        ones = [i for i in range(m) if prefix >> (m - 1 - i) & 1]
+        p, z = ones[0], m - 1 - ones[-1]
+        c = mpmath.fprod(w[j - i] for i, j in zip(ones, ones[1:]))
+        inner = sum(w[z + u + 1] * r[j] * w[p + (f - 1 - j - u) + 1]
+                    for j in range(f) for u in range(f - j))
+        return c * (w[p + z + f + 1] + inner)
+
+    def below(self, c, n):
+        """Z_n over the codes below c: a block per set bit of c."""
+        if c >> n:
+            return self.block(0, 0, n)
+        return sum((self.block(c >> (f + 1) << 1, n - f, f) for f in range(n) if c >> f & 1),
+                   mpmath.mpf(0))
+
+    def __call__(self, n, c0, c1):
+        with mpmath.workdps(50):
+            if n <= 10:
+                return sum((self.word(c, n) for c in range(c0, c1)), mpmath.mpf(0))
+            return self.below(c1, n) - self.below(c0, n)
+
+
+def assert_zn_encloses(oracle, z, c0):
+    ref, value = oracle(z.n, c0, c0 + z.in_base), mpmath.mpf(z.value)
+    assert value * (1 - z.rel_err) <= ref <= value * (1 + z.rel_err)
+
+
 @pytest.mark.parametrize("base", ZN_BASES)
 def test_doubling_zn_code_range_matches_mask_bitwise(base):
-    model = doubling_grid_model(normalize(build_tail(3.0, 1), 2.0))
-    for n in range(1, 17):
-        for t in (0.5, 1.0, 1.7):
+    seq = normalize(build_tail(3.0, 1), 2.0)
+    model = doubling_grid_model(seq)
+    for t in (0.5, 1.0, 1.7):
+        oracle = ZnOracle(seq, t)
+        for n in range(1, 17):
             z = zn_sum(model, t, n, base)
-            assert (z.value, z.in_base) == zn_sum_by_mask(model, t, n, base)
-            assert z.skipped == 0
+            _, in_base = zn_sum_by_mask(model, t, n, base)
+            assert z.in_base == in_base and z.skipped == 0
+            assert_zn_encloses(oracle, z, _dyadic_codes_below(base[0], n))
+
+
+@pytest.mark.parametrize("seq", [normalize(build_tail(3.0, 1), 2.0), transient_grid_sequence(),
+                                 RealizedSequence((-1.4,) * 30, 2.8, 30),
+                                 RealizedSequence((0.3, -2.0, 0.7), None, 3)],
+                         ids=["normalized", "transient", "head-30", "zero-tail"])
+@pytest.mark.parametrize("base", ZN_BASES)
+def test_doubling_zn_lies_in_its_certified_enclosure(seq, base):
+    model = doubling_grid_model(seq)
+    for t in (-0.8, 1.7):
+        oracle = ZnOracle(seq, t)
+        for n in range(1, 23):
+            z = zn_sum(model, t, n, base)
+            assert 0 < z.rel_err < 1e-10
+            assert_zn_encloses(oracle, z, _dyadic_codes_below(base[0], n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(head_value=st.floats(-2.0, 1.0), head_count=st.integers(1, 12),
+       gamma=st.one_of(st.none(), st.floats(1.5, 4.0)), t=st.floats(-2.0, 2.0),
+       ends=st.lists(st.floats(-0.1, 1.1), min_size=2, max_size=2, unique=True),
+       n=st.integers(1, 10))
+def test_doubling_zn_matches_per_word_orbit_sums(head_value, head_count, gamma, t, ends, n):
+    seq = RealizedSequence((head_value,) * head_count, gamma, head_count)
+    lo, hi = sorted(ends)
+    z = zn_sum(doubling_grid_model(seq), t, n, (lo, hi))
+    top = (1 << n) - 1
+    codes = [c for c in range(top + 1)
+             if lo <= (c / top if c < top else math.nextafter(1.0, 0.0)) < hi]
+    words = [[c >> (n - 1 - i) & 1 for i in range(n)] for c in codes]
+    ref = sum(math.exp(t * orbit_sum_brute_force(seq, word)) for word in words)
+    assert z.in_base == len(codes)
+    assert z.value == pytest.approx(ref, rel=1e-12)
+
+
+def test_doubling_zn_to_period_22_is_fast():
+    model = doubling_grid_model(normalize(build_tail(3.0, 1), 2.0))
+    started = time.perf_counter()
+    for base in ZN_BASES:
+        for n in range(1, 23):
+            zn_sum(model, 1.0, n, base)
+    assert time.perf_counter() - started <= 0.5
+
+
+def test_doubling_zn_overflow_raises():
+    model = doubling_grid_model(RealizedSequence((-1.4,) * 30, 3.0, 30))
+    with pytest.raises(FloatingPointError, match="overflow"):
+        zn_sum(model, -800.0, 4)
+    assert zn_sum(model, 800.0, 4, (0.5, 1.0)).value == 0.0  # underflow stays 0
 
 
 def test_doubling_zn_base_edge_on_a_point():
