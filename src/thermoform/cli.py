@@ -11,9 +11,11 @@ LF line endings, sorted JSON keys, and no timestamps inside data files
 including a task the model kind does not support, a t value (t,
 t_values, t_min, t_max, bracket) that is NaN, infinite or past the float
 range, t_min >= t_max, a Z_n base with a NaN end or base[0] >= base[1]
-(an infinite end reaches past the domain) and a root tolerance outside
-(0, 1e-6]; 3 numerical failure (indeterminacy, no convergence, overflow or
-another ArithmeticError).  Each failure prints one line to stderr.
+(an infinite end reaches past the domain), a root tolerance outside
+(0, 1e-6] and a Manneville-Pomeau alpha that overflows the map's
+derivative; 3 numerical failure (indeterminacy, no convergence, overflow,
+an underflowed Z_n under a Gurevich estimate or another ArithmeticError).
+Each failure prints one line to stderr.
 
     thermoform run <config.json> -o <dir> [--tol <x>] [--gnuplot]
     thermoform demo <name> -o <dir> [--tol <x>]

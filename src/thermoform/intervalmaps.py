@@ -54,8 +54,16 @@ class IntervalMapModel:
     def __post_init__(self):
         if self.kind not in (CHEBYSHEV, MANNEVILLE_POMEAU, DOUBLING_GRID):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == MANNEVILLE_POMEAU and not (self.alpha and self.alpha > 0):
-            raise ValueError("manneville_pomeau needs alpha > 0")
+        if self.kind == MANNEVILLE_POMEAU:
+            if not (self.alpha and self.alpha > 0):
+                raise ValueError(f"manneville_pomeau needs alpha > 0, got {self.alpha}")
+            try:  # the left branch's |f'| is 1 + 2^alpha (1 + alpha) x^alpha
+                scale = math.pow(2.0, float(self.alpha)) * (1.0 + float(self.alpha))
+            except OverflowError:
+                scale = math.inf
+            if not math.isfinite(scale):
+                raise ValueError(f"manneville_pomeau needs a finite alpha with 2**alpha * "
+                                 f"(1 + alpha) in the float range, got {self.alpha}")
         if self.kind == DOUBLING_GRID and self.seq is None:
             raise ValueError("doubling_grid needs a realized sequence")
 
@@ -413,7 +421,13 @@ def gurevich_estimate(model: IntervalMapModel, t: float, n_max: int) -> Gurevich
     for i, n in enumerate(ns):
         z = zn_sum(model, t, int(n))
         skipped += z.skipped
-        raw[i] = math.log(z.value) / n if z.value > 0 else -math.inf
+        if z.value > 0:
+            raw[i] = math.log(z.value) / n
+        elif n > n_max - 3:  # the last three feed the Aitken step and the spread
+            raise FloatingPointError(f"Z_n underflowed to 0 at t = {t}, n = {n}; "
+                                     "no Gurevich estimate")
+        else:
+            raw[i] = -math.inf
     x0, x1, x2 = raw[-3], raw[-2], raw[-1]
     d1, d2 = x1 - x0, x2 - x1
     extrap = x2 if abs(d2 - d1) < 1e-15 else x2 - d2 * d2 / (d2 - d1)
@@ -496,12 +510,34 @@ def sarig_series_diagnostic(model, t: float, pressure: float, n_max: int,
 
 
 def mp_preimage_ladder(alpha: float, n_levels: int) -> np.ndarray:
-    """xi_0 = 1/2 and f(xi_{k+1}) = xi_k down the left branch (decreasing to 0)."""
-    model = manneville_pomeau_model(alpha)
+    """xi_0 = 1/2 and f(xi_{k+1}) = xi_k down the left branch (decreasing to 0).
+
+    Each xi_{k+1} is the bisection of `IntervalMapModel.inverse(0, xi_k)`,
+    step for step, run on Python floats.  x**alpha is one numpy `power` call
+    on a 1-element array, not Python's `**`: numpy's float64 power can
+    differ from the C library's pow in the last bit, and the ladder must be
+    bitwise the one `inverse` gives.
+    """
+    manneville_pomeau_model(alpha)  # checks alpha
+    c = 2.0 ** alpha
+    x = np.empty(1)
+    exponent = np.array([alpha], dtype=float)
     ladder = np.empty(n_levels + 1)
-    ladder[0] = 0.5
-    for k in range(n_levels):
-        ladder[k + 1] = float(model.inverse(0, np.array(ladder[k])))
+    y = ladder[0] = 0.5
+    for k in range(1, n_levels + 1):
+        lo, hi = 0.0, 0.5
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            if mid < 0.5:
+                x[0] = mid
+                f_mid = mid * (1.0 + c * np.power(x, exponent, x).item())
+            else:
+                f_mid = 2.0 * mid - 1.0
+            if f_mid < y:
+                lo = mid
+            else:
+                hi = mid
+        y = ladder[k] = 0.5 * (lo + hi)
     return ladder
 
 
@@ -549,15 +585,13 @@ def mp_induced_model(alpha: float, n_levels: int = 200) -> RenewalModel:
     level explicitly.  The build holds a levels x levels orbit array, so the
     level count is capped at MP_MAX_LEVELS.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    model = manneville_pomeau_model(alpha)  # checks alpha
     if n_levels < 8:
         raise ValueError("need at least 8 levels")
     if n_levels > MP_MAX_LEVELS:
         raise ValueError(f"at most {MP_MAX_LEVELS} levels, got {n_levels}")
     s_vals = np.empty(n_levels + 1)  # index = level, entry 0 unused
-    s_vals[1:] = _mp_level_values(manneville_pomeau_model(alpha),
-                                  mp_preimage_ladder(alpha, n_levels))
+    s_vals[1:] = _mp_level_values(model, mp_preimage_ladder(alpha, n_levels))
 
     fit_from = max(n_levels // 2, 2)
     ns_fit = np.arange(fit_from, n_levels + 1, dtype=float)

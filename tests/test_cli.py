@@ -224,6 +224,26 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
     assert got == code and len(lines) == 1
 
 
+@pytest.mark.parametrize("task", [{"classify": {"t": 1.2}}, {"zn": {"t": 1.0, "n_max": 6}}])
+@pytest.mark.parametrize("alpha", [1023.9, math.inf, 1024])
+def test_mp_alpha_past_the_float_range_exits_2_naming_alpha(tmp_path, capsys, alpha, task):
+    cfg = {"model": "interval", "interval": {"kind": "manneville_pomeau", "alpha": alpha},
+           "task": task}
+    code, lines = run_main(tmp_path, capsys, cfg)
+    assert code == 2 and len(lines) == 1
+    assert f"(1 + alpha) in the float range, got {alpha}" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_underflowed_gurevich_sum_exits_3_naming_t_and_n(tmp_path, capsys):
+    cfg = {"model": "interval", "interval": {"kind": "chebyshev"},
+           "task": {"gurevich": {"t_values": [800.0], "n_max": 8}}}
+    code, lines = run_main(tmp_path, capsys, cfg)
+    assert code == 3 and len(lines) == 1 and "underflowed" in lines[0]
+    assert "t = 800.0, n = 6" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("values, task", [
     ((0.0, 400.0), {"pressure_curve": {"t_min": -2.0, "t_max": 2.0, "steps": 9}}),  # e^800
     ((-800.0, -800.0), {"classify": {"t": 1.0}}),  # every weight underflows to 0

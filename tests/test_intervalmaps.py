@@ -13,7 +13,7 @@ from thermoform import (RealizedSequence, chebyshev_model,
                         mp_induced_model, mp_preimage_ladder, periodic_points,
                         renewal_zn, sarig_series_diagnostic, solve_pressure,
                         two_slope_kink, zn_sum)
-from thermoform.intervalmaps import _dyadic_codes_below
+from thermoform.intervalmaps import _dyadic_codes_below, _mp_level_values
 from thermoform.sequences import build_tail, normalize, realize_model
 
 LOG2 = math.log(2.0)
@@ -111,6 +111,43 @@ def test_mp_pressure_values():
     assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
 
 
+def reference_mp_ladder(alpha, n_levels):
+    """Reference: xi_{k+1} = inverse(0, xi_k), one 0-d array bisection per level."""
+    model = manneville_pomeau_model(alpha)
+    xi = [0.5]
+    for _ in range(n_levels):
+        xi.append(float(model.inverse(0, np.array(xi[-1]))))
+    return np.array(xi)
+
+
+MP_LADDER_ALPHAS = [0.05, 0.3, 0.5, 0.9, 3.7]
+# the benchmark's alpha range, where a ladder on Python's ** drifts in the last bit
+MP_DRAWN_ALPHAS = np.random.default_rng(15).uniform(0.48, 0.52, 20).tolist()
+
+
+@pytest.mark.parametrize("alpha", MP_LADDER_ALPHAS + MP_DRAWN_ALPHAS)
+def test_mp_ladder_matches_inverse_bitwise(alpha):
+    reference = reference_mp_ladder(alpha, 120)  # level k depends on level k-1 only
+    for n_levels in (8, 49, 120):
+        assert np.array_equal(mp_preimage_ladder(alpha, n_levels),
+                              reference[:n_levels + 1])
+
+
+@pytest.mark.parametrize("alpha", MP_LADDER_ALPHAS)
+def test_mp_s_table_matches_inverse_ladder_bitwise(alpha):
+    model = manneville_pomeau_model(alpha)
+    reference = reference_mp_ladder(alpha, 120)
+    for n_levels in (8, 49, 120):
+        built = mp_induced_model(alpha, n_levels).s_values(np.arange(1, n_levels + 1))
+        assert np.array_equal(built, _mp_level_values(model, reference[:n_levels + 1]))
+
+
+def test_mp_ladder_of_2000_levels_is_fast():
+    started = time.perf_counter()
+    mp_preimage_ladder(0.5, 2000)
+    assert time.perf_counter() - started <= 0.6
+
+
 def scalar_mp_level_values(alpha, n_levels):
     """Reference: bisect each level's return point on its own, scalar calls."""
     model = manneville_pomeau_model(alpha)
@@ -148,6 +185,14 @@ def test_mp_levels_match_scalar_reference_bitwise(alpha, n_levels):
     model = mp_induced_model(alpha, n_levels)
     built = model.s_values(np.arange(1, n_levels + 1))
     assert np.array_equal(built, scalar_mp_level_values(alpha, n_levels))
+
+
+@pytest.mark.parametrize("alpha", [1023.9, math.inf, math.nan, 1024, 10 ** 400])
+def test_mp_alpha_past_the_float_range_is_refused(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        mp_induced_model(alpha, 8)
+    with pytest.raises(ValueError, match="alpha"):
+        mp_preimage_ladder(alpha, 8)
 
 
 def test_mp_level_count_is_capped():
