@@ -83,13 +83,12 @@ def load_schema() -> dict:
 
 @functools.cache
 def _validator():
-    """One validator for the config schema, built after checking the schema once."""
+    """One validator for the config schema.  The shipped schema is checked
+    against its metaschema by the test suite, not in every process."""
     from jsonschema.validators import validator_for
 
     schema = load_schema()
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return validator_for(schema)(schema)
 
 
 def validate_config(config: dict) -> None:
@@ -104,9 +103,17 @@ def validate_config(config: dict) -> None:
 def _parse_finite(block: dict):
     shift = FiniteShift(block["alphabet"], np.array(block["transitions"]))
     pot_block = block["potential"]
-    values = {}
+    values, keys = {}, {}
     for key, val in pot_block["values"].items():
-        word = tuple(int(s) for s in key.split(","))
+        try:
+            word = tuple(int(s) for s in key.split(","))
+        except ValueError:
+            raise ValueError(f"potential key {key!r} is not a comma-separated"
+                             " list of integers") from None
+        if word in keys:  # "1" and "01", or "1,1" and " 1, 1"
+            raise ValueError(f"potential keys {keys[word]!r} and {key!r} both"
+                             f" name the word {word}")
+        keys[word] = key
         values[word] = float(val)
     potential = LocallyConstantPotential(pot_block["depth"], values, shift)
     return shift, potential

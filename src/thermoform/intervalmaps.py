@@ -455,60 +455,6 @@ def two_slope_kink(ts, ps):
     return (c2 - c1) / (s1 - s2), float(s1), float(s2)
 
 
-INCONCLUSIVE = "inconclusive"
-TRANSIENT_LIKE = "transient-like"
-RECURRENT_LIKE = "recurrent-like"
-
-
-@dataclass(frozen=True)
-class SarigDiagnostic:
-    verdict: str
-    rate: float             # fitted exponential rate of e^{-nP} Z_n
-    rate_stderr: float
-    poly_exponent: float    # fitted power of n
-    ns: np.ndarray
-    lambdas: np.ndarray
-
-
-def sarig_series_diagnostic(model, t: float, pressure: float, n_max: int,
-                            base: tuple[float, float] | None = None) -> SarigDiagnostic:
-    """Heuristic recurrence check from the decay of lambda_n = e^{-nP} Z_n.
-
-    Fits log lambda_n = c + rate*n + beta*log n over the last half of the
-    range; transient-like iff the rate's 2-sigma band sits below zero.  This
-    is the blunt screening tool: it is base-set dependent for interval
-    models, which the certified engine is not.
-    """
-    if n_max < 6:
-        raise ValueError("n_max must be >= 6 for a meaningful fit")
-    ns = np.arange(1, n_max + 1, dtype=float)
-    if isinstance(model, RenewalModel):
-        zn = renewal_zn(model, t, n_max)
-    elif isinstance(model, IntervalMapModel):
-        zn = np.array([zn_sum(model, t, int(n), base).value for n in ns])
-    else:
-        raise TypeError("model must be a RenewalModel or IntervalMapModel")
-    lam = np.exp(-ns * pressure) * zn
-    sel = ns >= n_max // 2
-    if np.any(lam[sel] <= 0):
-        return SarigDiagnostic(INCONCLUSIVE, math.nan, math.nan, math.nan, ns, lam)
-    y = np.log(lam[sel])
-    x = np.column_stack([np.ones(sel.sum()), ns[sel], np.log(ns[sel])])
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ coef
-    dof = max(len(y) - 3, 1)
-    sigma2 = float(resid @ resid) / dof
-    try:
-        cov = sigma2 * np.linalg.inv(x.T @ x)
-        stderr = math.sqrt(max(cov[1, 1], 0.0))
-    except np.linalg.LinAlgError:
-        return SarigDiagnostic(INCONCLUSIVE, float(coef[1]), math.nan,
-                               float(coef[2]), ns, lam)
-    rate = float(coef[1])
-    verdict = TRANSIENT_LIKE if rate + 2.0 * stderr < 0 else RECURRENT_LIKE
-    return SarigDiagnostic(verdict, rate, stderr, float(coef[2]), ns, lam)
-
-
 def mp_preimage_ladder(alpha: float, n_levels: int) -> np.ndarray:
     """xi_0 = 1/2 and f(xi_{k+1}) = xi_k down the left branch (decreasing to 0).
 

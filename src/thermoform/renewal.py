@@ -572,43 +572,6 @@ def cyr_sarig_witness(model: RenewalModel, t: float, verify: bool = True,
 
 
 @dataclass(frozen=True)
-class WeightsReport:
-    levels: np.ndarray
-    level_weights: np.ndarray          # w_n = m_n exp(t s_n - n p)
-    per_cylinder_weights: np.ndarray   # w_n / m_n
-    raw_total: CertifiedSum            # G at the solved pressure (1 when recurrent)
-    tau_mean: CertifiedSum             # sum n w_n, possibly divergent
-    shifted_integral: tuple[float, float] | None  # int (t*Phi - tau*p), None = -inf
-
-
-def induced_equilibrium_weights(model: RenewalModel, t: float, n_levels: int = 64,
-                                sum_tol: float = DEFAULT_SUM_TOL) -> WeightsReport:
-    """Equilibrium weights of the induced full shift at a recurrent parameter.
-
-    Raises ValueError on transient input.  The per-level weight w_n sums to 1
-    by G = 1; each of the m_n cylinders at level n carries w_n / m_n.  The
-    report includes the mean return time and the integral of the
-    pressure-shifted induced potential (flagged -inf when the return time
-    diverges while the pressure is positive).
-    """
-    cls = classify(model, t, sum_tol=sum_tol)
-    if cls.kind == TRANSIENT:
-        raise ValueError("equilibrium weights are undefined for a transient parameter")
-    p = cls.root.pressure
-    ns = np.arange(1, n_levels + 1, dtype=np.int64)
-    w = np.exp(model.log_mult(ns) + t * model.s_values(ns) - ns * p)
-    per_cyl = np.exp(t * model.s_values(ns) - ns * p)
-    h = cls.H
-    integral = None  # diverges to -inf when H does at a positive pressure
-    if not h.divergent or p == 0.0:
-        num = certified_series(model, t, p, s_weight=True, tol=sum_tol)
-        integral = iv_scale(t, (num.lower, num.upper))
-        if not h.divergent:
-            integral = iv_add(integral, iv_scale(-p, (h.lower, h.upper)))
-    return WeightsReport(ns, w, per_cyl, cls.G, h, integral)
-
-
-@dataclass(frozen=True)
 class PressureCurve:
     """Pressure, classes and derivatives over a t grid, plus transitions.
 

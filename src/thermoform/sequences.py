@@ -138,13 +138,6 @@ def build_tail(gamma: float, n_cut: int = 1) -> RealizedSequence:
     return RealizedSequence((0.0,) * n_cut, float(gamma), n_cut)
 
 
-def hofbauer_head(b: float, count: int) -> tuple:
-    """Constant head override a_k = b for 0 <= k < count."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return (float(b),) * count
-
-
 def with_leading_shift(seq: RealizedSequence, c: float) -> RealizedSequence:
     """Add c to a_0, shifting every s_n by c (scales sum e^{s_n} by e^c)."""
     head = (seq.head[0] + float(c),) + seq.head[1:]
@@ -278,21 +271,6 @@ def from_spec(spec: SequenceSpec) -> RealizedSequence:
 
 def model_from_spec(spec: SequenceSpec) -> RenewalModel:
     return realize_model(from_spec(spec), spec.family)
-
-
-def potential_variation(seq: RealizedSequence, n: int) -> float:
-    """Variation V_n of the coded doubling-map potential built from seq.
-
-    Points agreeing on n symbols differ only inside the all-zero cylinder,
-    where the potential takes the values {a_j : j >= n} together with the
-    limit 0 at the fixed point; V_n is the diameter of that set, read off the
-    levels n <= j < max(n + 8, n_cut) + 20000.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vals = [seq.a(j) for j in range(n, max(n + 8, seq.n_cut) + 20000)]
-    vals.append(0.0)
-    return max(vals) - min(vals)
 
 
 def sequence_table(seq: RealizedSequence, n_max: int) -> np.ndarray:

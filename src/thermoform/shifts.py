@@ -315,33 +315,9 @@ def enumerate_admissible_words(shift: FiniteShift, n: int) -> list[Word]:
     return out
 
 
-@dataclass(frozen=True)
-class MixingVerdict:
-    mixing: bool
-    power: int | None  # smallest N with the N-th Boolean power all positive
-    checked_up_to: int
-
-    def __bool__(self) -> bool:
-        return self.mixing
-
-
-def is_topologically_mixing(shift: FiniteShift, n_max: int = 64) -> MixingVerdict:
-    """Search for the smallest N <= n_max with T^N all-positive (Boolean).
-
-    No power of T is all-positive unless the shift is strongly connected with
-    period 1, so any other shift is answered by strong_period without a scan.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if strong_period(shift.alphabet_size, *shift.edges()) != 1:
-        return MixingVerdict(False, None, n_max)
-    base = shift.dense().astype(bool)
-    power = base.copy()
-    for n in range(1, n_max + 1):
-        if power.all():
-            return MixingVerdict(True, n, n_max)
-        power = power @ base
-    return MixingVerdict(False, None, n_max)
+def is_topologically_mixing(shift: FiniteShift) -> bool:
+    """True iff the shift is irreducible with period 1 (Seneta 1981, Ch. 1)."""
+    return strong_period(shift.alphabet_size, *shift.edges()) == 1
 
 
 def enumerate_periodic_words(shift: FiniteShift, n: int) -> list[Word]:
@@ -373,24 +349,3 @@ def birkhoff_sum(potential: LocallyConstantPotential, cyclic_word) -> float:
         except KeyError:
             raise ValueError(f"cyclic context {ctx} is not admissible") from None
     return total
-
-
-def variation(potential: LocallyConstantPotential, n: int) -> float:
-    """sup |phi(x) - phi(y)| over points agreeing on the first n symbols.
-
-    Zero whenever n >= depth (the potential is locally constant at that
-    level); otherwise a brute-force scan over cylinder pairs.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = potential.depth
-    if n >= k:
-        return 0.0
-    groups: dict[Word, list[float]] = {}
-    for w, v in potential.values.items():
-        groups.setdefault(w[:n], []).append(v)
-    best = 0.0
-    for vals in groups.values():
-        if len(vals) > 1:
-            best = max(best, max(vals) - min(vals))
-    return best

@@ -208,29 +208,6 @@ def cylinder_weight(sol: RPFSolution, word) -> float:
     return sol.h[sol.matrix.index[w[:k]]] * m_val / z
 
 
-def gibbs_constant_check(sol: RPFSolution, shift: FiniteShift,
-                         potential: LocallyConstantPotential, n_max: int) -> float:
-    """Largest Gibbs distortion of mu over all cylinders of length <= n_max.
-
-    For each admissible word the ratio mu(C) / exp(S_n phi - n P) is taken at
-    the lexicographically smallest point of C; the return value is the max of
-    the ratio and its reciprocal over all cylinders.
-    """
-    k = potential.depth
-    p = sol.pressure
-    worst = 1.0
-    for n in range(1, n_max + 1):
-        for w in enumerate_admissible_words(shift, n):
-            mu = cylinder_weight(sol, w)
-            ext = list(w)
-            while len(ext) < n + k - 1:
-                ext.append(int(shift.successors(ext[-1])[0]))
-            s_n = sum(potential(tuple(ext[i:i + k])) for i in range(n))
-            ratio = mu / math.exp(s_n - n * p)
-            worst = max(worst, ratio, 1.0 / ratio)
-    return worst
-
-
 @dataclass(frozen=True)
 class ComponentSolution:
     symbols: list[int]  # original symbols of the component
@@ -309,6 +286,9 @@ def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotentia
                           t_grid, tol: float = 1e-12) -> tuple[PressureCurve, bool]:
     """Pressure of t*potential across a grid, and whether the shift is mixing.
 
+    The shift is mixing exactly when its transition graph is strongly
+    connected with period 1; is_topologically_mixing reads that period off
+    the CSR arrays, so no matrix power is formed and no alphabet is too long.
     The pressure is the maximum over components (decompose_components); a
     mixing shift is the single-component case with a primitive RPF solution.
     Where several components tie for the maximum the equilibrium state is not
@@ -320,9 +300,7 @@ def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotentia
     """
     ts = np.asarray(list(t_grid), dtype=float)
     parts = cycle_components(shift, potential)
-    # a primitive shift's Boolean scan ends within Wielandt's bound (m-1)^2 + 1
-    # on the exponent; any other shift is answered by its period, unscanned
-    mixing = bool(is_topologically_mixing(shift, n_max=(shift.alphabet_size - 1) ** 2 + 1))
+    mixing = is_topologically_mixing(shift)
     decs = [decompose_components(shift, potential, t=float(t), tol=tol, components=parts)
             for t in ts]
     ders, widths = np.full(len(ts), math.nan), np.zeros(len(ts))

@@ -156,6 +156,14 @@ def run_main(tmp_path, capsys, cfg):
     return code, capsys.readouterr().err.strip().splitlines()
 
 
+def full_shift_config(values, depth=1):
+    """Pressure at t = 1 and 2 of a potential on the full 2-shift."""
+    return {"model": "finite_shift",
+            "finite_shift": {"alphabet": 2, "transitions": [[1, 1], [1, 1]],
+                             "potential": {"depth": depth, "values": values}},
+            "task": {"pressure_curve": {"t_min": 1.0, "t_max": 2.0, "steps": 2}}}
+
+
 GRID = {"family": "grid", "gamma": 3.0}
 DOUBLING = {"kind": "doubling_grid", "head_value": -1.4, "head_count": 3, "gamma": 3.0}
 
@@ -218,10 +226,24 @@ def test_doubling_grid_sequence_table_runs_on_its_sequence(tmp_path, capsys):
     ({"model": "interval", "interval": DOUBLING, "task": {"zn": {"t": 10 ** 400, "n_max": 4}}}, 2),
     ({"model": "interval", "interval": {"kind": "manneville_pomeau"},
       "task": {"classify": {"t": 1.0}}}, 2),
+    (full_shift_config({"0": 0.0, "1": -5.0, "01": 0.0}), 2),
+    (full_shift_config({"0": 0.0, "x": 0.0}), 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, cfg, code):
     got, lines = run_main(tmp_path, capsys, cfg)
     assert got == code and len(lines) == 1
+
+
+@pytest.mark.parametrize("values, depth, reason", [
+    ({"0": 0.0, "1": -5.0, "01": 0.0}, 1,
+     "potential keys '1' and '01' both name the word (1,)"),
+    ({"0,0": 0.0, "0,1": 0.0, "1,0": 0.0, "1,1": 0.0, " 1, 1": 0.0}, 2,
+     "potential keys '1,1' and ' 1, 1' both name the word (1, 1)"),
+    ({"0": 0.0, "x": 0.0}, 1, "potential key 'x' is not a comma-separated list of integers"),
+])
+def test_bad_potential_key_is_named(tmp_path, capsys, values, depth, reason):
+    code, lines = run_main(tmp_path, capsys, full_shift_config(values, depth))
+    assert code == 2 and lines == [f"validation error: {reason}"]
 
 
 @pytest.mark.parametrize("task", [{"classify": {"t": 1.2}}, {"zn": {"t": 1.0, "n_max": 6}}])
@@ -518,6 +540,14 @@ def test_curve_transitions_match_transitions_task(tmp_path, renewal):
         assert len(curve) == 2 and curve[1]["kind"] == "end-of-flat"
         assert (curve[1]["t"], list(curve[1]["bracket"]), curve[1]["smoothness"]) == (
             flat["t_end"], flat["end_bracket"], flat["smoothness_end"])
+
+
+def test_shipped_schema_passes_its_metaschema():
+    from jsonschema.validators import validator_for
+    from thermoform.cli import load_schema
+
+    schema = load_schema()
+    validator_for(schema).check_schema(schema)
 
 
 def test_validate_config_checks_the_schema_once(monkeypatch):

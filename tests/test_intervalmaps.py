@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from thermoform import (RealizedSequence, chebyshev_model,
-                        chebyshev_pressure_exact, classify,
-                        doubling_grid_model, gurevich_estimate,
-                        hofbauer_doubling_model, manneville_pomeau_model,
-                        mp_induced_model, mp_preimage_ladder, periodic_points,
-                        renewal_zn, sarig_series_diagnostic, solve_pressure,
-                        two_slope_kink, zn_sum)
+                        chebyshev_pressure_exact, doubling_grid_model,
+                        gurevich_estimate, hofbauer_doubling_model,
+                        manneville_pomeau_model, mp_induced_model,
+                        mp_preimage_ladder, periodic_points, renewal_zn,
+                        solve_pressure, two_slope_kink, zn_sum)
 from thermoform.intervalmaps import _dyadic_codes_below, _mp_level_values
-from thermoform.sequences import build_tail, normalize, realize_model
+from thermoform.sequences import build_tail, normalize
 
 LOG2 = math.log(2.0)
 LOG4 = math.log(4.0)
@@ -243,32 +242,6 @@ def test_doubling_bad_base_lower_bound():
     for n in range(1, 15):
         z = zn_sum(interval, 1.0, n, (0.0, 0.5))
         assert z.value >= 1.0  # the fixed point contributes e^0 every period
-
-
-def test_diagnostic_verdicts_by_base():
-    seq = transient_grid_sequence()
-    interval = doubling_grid_model(seq)
-    model = hofbauer_doubling_model(seq)
-    assert classify(model, 1.0).kind == "transient"
-    good = sarig_series_diagnostic(interval, 1.0, 0.0, 14, (0.5, 1.0))
-    assert good.verdict == "transient-like"
-    assert good.rate == pytest.approx(-LOG2, abs=1e-6)
-    bad = sarig_series_diagnostic(interval, 1.0, 0.0, 14, (0.0, 0.5))
-    assert bad.verdict == "recurrent-like"
-
-
-def test_diagnostic_on_renewal_models():
-    seq = transient_grid_sequence()
-    model = hofbauer_doubling_model(seq)
-    diag = sarig_series_diagnostic(model, 1.0, 0.0, 16)
-    assert diag.verdict == "transient-like"
-    assert diag.rate == pytest.approx(-LOG2, abs=1e-6)
-    # critical tail: rate near zero, polynomial exponent near -gamma
-    crit = realize_model(normalize(build_tail(3.0, 1).with_head([-LOG2]), 1.0),
-                         "hofbauer")
-    diag2 = sarig_series_diagnostic(crit, 1.0, 0.0, 40)
-    assert diag2.verdict == "recurrent-like"
-    assert abs(diag2.rate) <= 0.02
 
 
 def test_gurevich_doubling_counts():

@@ -10,7 +10,7 @@ from thermoform import (EnvelopeError, IndeterminateError,
                         TailEnvelope, build_transfer_matrix, certified_G,
                         certified_series, classify, conformal_atom_masses,
                         cyr_sarig_witness, finite_truncation, flat_transitions,
-                        induced_equilibrium_weights, locate_flat_interval,
+                        locate_flat_interval,
                         pressure_curve, pressure_derivative, renewal_zn,
                         smoothness_at_transition, solve_pressure, solve_rpf,
                         NULL_RECURRENT, POSITIVE_RECURRENT, TRANSIENT,
@@ -220,16 +220,6 @@ def test_witness_closed_form_grid():
     assert wit.u0 == pytest.approx(expected, abs=1e-10)
 
 
-def test_equilibrium_weights_geometric():
-    model = geometric_model(LOG2)  # w_n = 2^-n at t=1, p=0
-    rep = induced_equilibrium_weights(model, 1.0, n_levels=40)
-    assert np.allclose(rep.level_weights, 0.5 ** rep.levels, atol=1e-12)
-    assert rep.tau_mean.contains(2.0) and rep.tau_mean.width < 1e-9
-    assert rep.raw_total.contains(1.0)
-    with pytest.raises(ValueError):
-        induced_equilibrium_weights(geometric_model(2.0), 1.0)
-
-
 def normalized_grid_model(gamma):
     from thermoform.sequences import GRID, build_tail, normalize, realize_model
     return realize_model(normalize(build_tail(gamma, 1), 2.0), GRID)
@@ -242,26 +232,6 @@ def test_atom_masses_normalized_grid_boundary():
     assert abs(rep.atom_clamped[1]) <= 1e-10
 
 
-def test_equilibrium_weights_grid_per_cylinder():
-    model = normalized_grid_model(3.0)
-    rep = induced_equilibrium_weights(model, 1.0, n_levels=2000)
-    # each of the 2^(n-1) level cylinders carries e^{s_n - n log 2}
-    s = model.s_values(rep.levels)
-    assert np.allclose(rep.per_cylinder_weights,
-                       np.exp(s - rep.levels * LOG2), rtol=1e-12)
-    # total level mass approaches 1 (tail beyond the cut is ~n^-2)
-    assert rep.level_weights.sum() == pytest.approx(1.0, abs=1e-6)
-    assert rep.raw_total.contains(1.0)
-
-
-def test_shifted_integral_flags_divergence():
-    fine = induced_equilibrium_weights(normalized_grid_model(3.0), 1.0)
-    assert fine.shifted_integral is not None
-    infinite = induced_equilibrium_weights(normalized_grid_model(1.5), 1.0)
-    assert infinite.tau_mean.divergent
-    assert infinite.shifted_integral is None  # integral runs to -inf
-
-
 def test_shifted_integral_at_null_recurrent_zero_pressure():
     # the "sum=1, infinite mean return" row: p = 0, H diverges, and the
     # integral is t * sum s_n e^{t s_n}, which converges since log(n) n^-1.5 does
@@ -269,8 +239,10 @@ def test_shifted_integral_at_null_recurrent_zero_pressure():
     seq = sq.from_spec(sq.SequenceSpec("hofbauer", gamma=1.5, head=(-LOG2,),
                                        normalization_target=1.0))
     t = 1.0
-    rep = induced_equilibrium_weights(sq.realize_model(seq, sq.HOFBAUER), t)
-    assert rep.tau_mean.divergent and rep.shifted_integral is not None
+    model = sq.realize_model(seq, sq.HOFBAUER)
+    cls = classify(model, t)
+    assert cls.H.divergent and cls.root.pressure == 0.0
+    num = certified_series(model, t, 0.0, s_weight=True)
     with mpmath.workdps(40):
         heads = np.cumsum([mpmath.mpf(a) for a in seq.head])  # s_1..s_{n_cut}
         g, kappa, tail_from = seq.gamma * t, mpmath.mpf(seq.kappa), seq.n_cut + 1
@@ -279,7 +251,7 @@ def test_shifted_integral_at_null_recurrent_zero_pressure():
         ref += mpmath.exp(t * kappa) * (kappa * mpmath.zeta(g, tail_from)
                                         + seq.gamma * mpmath.zeta(g, tail_from, derivative=1))
         ref = float(t * ref)
-    lo, hi = rep.shifted_integral
+    lo, hi = t * num.lower, t * num.upper
     assert lo <= ref <= hi
     assert hi - lo <= 1e-10
 

@@ -6,8 +6,7 @@ import pytest
 from thermoform import certified_G, classify, solve_pressure
 from thermoform.sequences import (GRID, HOFBAUER, RealizedSequence, SequenceSpec,
                                   build_tail, dfu_perturb, from_spec,
-                                  hofbauer_head, model_from_spec, normalize,
-                                  potential_variation, realize_model,
+                                  model_from_spec, normalize, realize_model,
                                   sequence_table, with_leading_shift)
 
 LOG2 = math.log(2.0)
@@ -61,8 +60,7 @@ def test_normalize_grid_post_condition():
 
 def test_normalize_geometric_head_no_shift():
     # a_k = -log 2 for all k within the head: sum e^{s_n} = 1 already
-    head = hofbauer_head(-LOG2, 40)
-    seq = RealizedSequence(head + (0.0,) * 0, 3.0, 40)
+    seq = RealizedSequence((-LOG2,) * 40, 3.0, 40)
     before = seq.head[1]
     out = normalize(seq, 1.0 + float(np.sum(np.exp(seq.s_values(np.arange(41, 10000))))))
     # the shift needed is tiny because the target matches the current sum
@@ -111,9 +109,7 @@ def test_dfu_perturb_larger_delta_recheck():
 
 
 def test_hofbauer_head_rows():
-    assert hofbauer_head(0.0, 0) == ()
-    head = hofbauer_head(-math.log(4.0), 25)
-    seq = RealizedSequence(head, 3.0, 25)
+    seq = RealizedSequence((-math.log(4.0),) * 25, 3.0, 25)
     total = certified_G(realize_model(seq, HOFBAUER), 1.0, 0.0)
     assert total.upper < 1.0  # transient row by geometric domination
     assert classify(realize_model(seq, HOFBAUER), 1.0).kind == "transient"
@@ -141,13 +137,6 @@ def test_leading_shift_scales_sums():
 def test_sequence_values_go_to_zero():
     for seq in (build_tail(1.5, 1), normalize(build_tail(3.0, 2), 2.0)):
         assert abs(seq.a(10 ** 6)) < 1e-5
-
-
-def test_potential_variation_decreases_to_zero():
-    seq = normalize(build_tail(3.0, 1), 2.0)
-    vs = [potential_variation(seq, n) for n in (1, 2, 4, 16, 256)]
-    assert all(vs[i] >= vs[i + 1] - 1e-15 for i in range(len(vs) - 1))
-    assert vs[-1] < 0.05
 
 
 def test_sequence_table_shape():
