@@ -249,7 +249,7 @@ def _zn(sub: dict, run) -> dict:
     run.files["zn.csv"] = (write_csv, ["n", "Z_n", "log_Zn_over_n", "points_in_base",
                                        "skipped"], rows)
     payload = {"t": sub["t"], "n_max": sub["n_max"], "base": _iv(base)}
-    if run.interval.kind == DOUBLING_GRID:
+    if zs[0].rel_err is not None:
         # null where a term may have underflowed and no relative bound holds
         rel_err = max(z.rel_err for z in zs)
         payload["Z_n_rel_err_certified"] = None if math.isinf(rel_err) else rel_err

@@ -3,12 +3,11 @@
 Periodic orbits are found per itinerary: the coding cell is pulled back
 through inverse branches and the fixed point of the n-fold composition is
 bisected inside it (vectorized across all 2^n itineraries); the samples are
-kept as arrays in code order.  The doubling map uses exact dyadic arithmetic
-instead: the period-n point of itinerary w is w/(2^n - 1).  Those points
-increase with w, so a half-open base interval is a range of codes, and Z_n
-sums that range by dyadic prefix blocks through the renewal recursion of the
-first-return model, with a certified relative error bound and no array of
-2^n orbit sums.
+kept as arrays in code order.  On the coded doubling map the period-n point
+of itinerary w is w/(2^n - 1).  Those points increase with w, so a half-open
+base interval is a range of codes, and Z_n sums that range by dyadic prefix
+blocks through the renewal recursion of the first-return model, with a
+certified relative error bound and no array of 2^n orbit sums.
 """
 
 from __future__ import annotations
@@ -35,6 +34,17 @@ _BISECT_STEPS = 60
 MP_MAX_LEVELS = 2000
 MAX_PERIOD = 22  # periodic points hold arrays of 2^n itineraries (the doubling-grid
                  # Z_n holds none but keeps the same cap)
+
+
+def _bisect(up, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Midpoints after _BISECT_STEPS elementwise halvings of [lo, hi],
+    keeping the upper half wherever up(mid) holds."""
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        go_up = up(mid)
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -98,14 +108,7 @@ class IntervalMapModel:
             return 0.5 * (y + branch)
         if branch == 1:
             return 0.5 * (y + 1.0)
-        lo = np.zeros_like(y)
-        hi = np.full_like(y, 0.5)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            too_low = self.apply(mid) < y
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        return 0.5 * (lo + hi)
+        return _bisect(lambda mid: self.apply(mid) < y, np.zeros_like(y), np.full_like(y, 0.5))
 
     @property
     def right_closed(self) -> bool:
@@ -179,21 +182,13 @@ class PeriodicPointSet:
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _dyadic_points(codes: np.ndarray, n: int) -> np.ndarray:
-    """Period-n points of the doubling map, one per itinerary.
-
-    The all-ones word codes the supremum of [1/2, 1); it is represented just
-    below 1 so half-open base membership matches the shift picture.
-    """
-    pts = codes.astype(float) / float((1 << n) - 1)
-    return np.where(codes == (1 << n) - 1, _BELOW_ONE, pts)
-
-
 def _dyadic_codes_below(x: float, n: int) -> int:
     """How many period-n dyadic points lie below x.
 
-    The points increase with the code, so this is the first code whose point
-    (the float _dyadic_points gives it) is >= x.
+    Code c's point is c / (2^n - 1), except that the all-ones word, the
+    supremum of [1/2, 1), is put just below 1 so half-open base membership
+    matches the shift picture.  The points increase with the code, so this
+    is the first code whose point is >= x.
     """
     top = (1 << n) - 1
     if not x > 0.0:
@@ -202,7 +197,7 @@ def _dyadic_codes_below(x: float, n: int) -> int:
         return top + 1
 
     def point(c):
-        return float(_dyadic_points(np.array([c], dtype=np.int64), n)[0])
+        return c / top if c < top else _BELOW_ONE
 
     c = math.ceil(x * top)  # x * top rounds, so step to the exact first code
     while c > 0 and point(c - 1) >= x:
@@ -227,11 +222,6 @@ def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
     if not 1 <= n <= MAX_PERIOD:
         raise ValueError(f"n must be in [1, {MAX_PERIOD}]")
     codes = np.arange(1 << n, dtype=np.int64)
-
-    if model.kind == DOUBLING_GRID:
-        return PeriodicPointSet(n, codes, _dyadic_points(codes, n),
-                                np.full(len(codes), n * LOG2), 0)
-
     lo = np.zeros(len(codes))
     hi = np.ones(len(codes))
     for i in range(n - 1, -1, -1):
@@ -248,14 +238,7 @@ def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
 
     h_lo = f_n(lo) - lo
     h_hi = f_n(hi) - hi
-    a, b = lo.copy(), hi.copy()
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        hm = f_n(mid) - mid
-        same = np.sign(hm) == np.sign(h_lo)
-        a = np.where(same, mid, a)
-        b = np.where(same, b, mid)
-    roots = 0.5 * (a + b)
+    roots = _bisect(lambda mid: np.sign(f_n(mid) - mid) == np.sign(h_lo), lo, hi)
     # endpoint roots (fixed point at 0 sits on its cell boundary)
     roots = np.where(np.abs(h_lo) <= 1e-12, lo, roots)
     roots = np.where(np.abs(h_hi) <= 1e-12, hi, roots)
@@ -500,16 +483,13 @@ def _mp_level_values(model: IntervalMapModel, ladder: np.ndarray) -> np.ndarray:
     n_levels = len(ladder) - 1
     left = 0.5 * (1.0 + ladder[:-1])
     right = 0.5 * (1.0 + np.concatenate(([1.0], ladder[:-2])))
-    a, b = left, right - 1e-15
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
+    def returns_below(mid):
         y = mid.copy()
         for k in range(n_levels):
             y[k:] = model.apply(y[k:])
-        below = y < mid
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    y = 0.5 * (a + b)
+        return y < mid
+
+    y = _bisect(returns_below, left, right - 1e-15)
     orbit = np.empty((n_levels, n_levels))
     for i in range(n_levels):
         orbit[i:, i] = y[i:]
