@@ -213,21 +213,28 @@ def _bits(codes: np.ndarray, n: int, i: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
-    """One sample per admissible length-n itinerary, skips logged.
+    """One sample per length-n itinerary, in code order.
 
-    Degenerate cells (no sign change for the n-fold composition, or roots
-    excluded by the half-open domain) are counted in `skipped`.  Results are
-    cached per (model, n); the points do not depend on the parameter t.
+    Each itinerary's cell maps monotonically onto the domain under f^n, so
+    its fixed point is bisected by the cell's orientation, never by the
+    float sign of f^n - x at the cell's ends (which are preimages of a
+    branch break or critical point, where that sign can come out wrong).
+    `skipped` counts the itineraries whose point is left out: x = 1 on the
+    half-open domain [0, 1) (Manneville-Pomeau and the doubling map), and a
+    point where |f'| vanishes along the orbit.  Results are cached per
+    (model, n); the points do not depend on the parameter t.
     """
     if not 1 <= n <= MAX_PERIOD:
         raise ValueError(f"n must be in [1, {MAX_PERIOD}]")
     codes = np.arange(1 << n, dtype=np.int64)
     lo = np.zeros(len(codes))
     hi = np.ones(len(codes))
+    rising = np.ones(len(codes), dtype=bool)  # f^n increases on the cell
     for i in range(n - 1, -1, -1):
         b = _bits(codes, n, i)
         new_a = np.where(b == 0, model.inverse(0, lo), model.inverse(1, lo))
         new_b = np.where(b == 0, model.inverse(0, hi), model.inverse(1, hi))
+        rising ^= new_a > new_b
         lo = np.minimum(new_a, new_b)
         hi = np.maximum(new_a, new_b)
 
@@ -236,17 +243,17 @@ def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
             x = model.apply(x)
         return x
 
-    h_lo = f_n(lo) - lo
-    h_hi = f_n(hi) - hi
-    roots = _bisect(lambda mid: np.sign(f_n(mid) - mid) == np.sign(h_lo), lo, hi)
+    def root_above(mid):
+        f_mid = f_n(mid)
+        return np.where(rising, f_mid < mid, f_mid > mid)
+
+    roots = _bisect(root_above, lo, hi)
     # endpoint roots (fixed point at 0 sits on its cell boundary)
-    roots = np.where(np.abs(h_lo) <= 1e-12, lo, roots)
-    roots = np.where(np.abs(h_hi) <= 1e-12, hi, roots)
+    roots = np.where(np.abs(f_n(lo) - lo) <= 1e-12, lo, roots)
+    roots = np.where(np.abs(f_n(hi) - hi) <= 1e-12, hi, roots)
     roots = np.where(np.abs(roots) <= 1e-15, 0.0, roots)
 
-    ok = np.abs(f_n(roots) - roots) <= 1e-9
-    if not model.right_closed:
-        ok &= roots < 1.0 - 1e-12
+    ok = np.ones(len(roots), dtype=bool) if model.right_closed else roots < 1.0 - 1e-12
     x = roots.copy()
     log_deriv = np.zeros(len(roots))
     degenerate = np.zeros(len(roots), dtype=bool)

@@ -66,6 +66,17 @@ def test_chebyshev_gurevich_converges(t):
     assert abs(est.extrapolated - exact) <= 0.05
 
 
+@pytest.mark.parametrize("n", [14, 16])
+def test_chebyshev_periodic_points_match_the_closed_form(n):
+    # x = sin^2(theta) turns f into theta -> 2 theta, so 2^n theta = +-theta (mod pi)
+    plus = np.arange(2 ** (n - 1)) / (2 ** n - 1)
+    minus = np.arange(1, 2 ** (n - 1) + 1) / (2 ** n + 1)
+    exact = np.sort(np.sin(np.pi * np.concatenate([plus, minus])) ** 2)
+    pset = periodic_points(chebyshev_model(), n)
+    assert pset.skipped == 0 and len(pset.points) == 2 ** n
+    assert np.max(np.abs(np.sort(pset.points) - exact)) <= 1e-11
+
+
 def test_two_slope_kink_recovers_chebyshev():
     ts = [-3.0, -2.5, -2.0, 0.5, 1.0, 1.5]
     ps = [gurevich_estimate(chebyshev_model(), t, 12).extrapolated for t in ts]
@@ -81,6 +92,18 @@ def test_mp_fixed_points_boundary_convention():
     assert pts.points[0] == pytest.approx(0.0, abs=1e-12)
     assert pts.log_derivs[0] == pytest.approx(0.0, abs=1e-12)  # parabolic
     assert pts.skipped == 1
+
+
+def test_mp_zn_at_zero_counts_every_orbit_but_one():
+    model = manneville_pomeau_model(0.5)
+    for n in range(1, 15):
+        z = zn_sum(model, 0.0, n)
+        assert (z.value, z.skipped) == (2 ** n - 1, 1)  # x = 1 is left out
+
+
+def test_mp_gurevich_at_zero_is_log2():
+    est = gurevich_estimate(manneville_pomeau_model(0.5), 0.0, 12)
+    assert abs(est.extrapolated - LOG2) <= 1e-5
 
 
 def test_mp_ladder_decreasing():
