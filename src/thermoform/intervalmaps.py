@@ -396,10 +396,6 @@ class GurevichEstimate:
     spread: float          # max oscillation over the last three raw terms
     skipped: int
 
-    @property
-    def value(self) -> float:
-        return self.extrapolated
-
 
 def gurevich_estimate(model: IntervalMapModel, t: float, n_max: int) -> GurevichEstimate:
     """Pressure estimate from whole-domain periodic sums up to n_max."""
@@ -505,7 +501,7 @@ def _mp_level_values(model: IntervalMapModel, ladder: np.ndarray) -> np.ndarray:
                      for n in range(1, n_levels + 1)])
 
 
-def mp_induced_model(alpha: float, n_levels: int = 200) -> RenewalModel:
+def mp_induced_model(alpha: float, n_levels: int) -> RenewalModel:
     """First-return model of the Manneville-Pomeau map on [1/2, 1).
 
     Level n returns after n steps through the parabolic side; its induced

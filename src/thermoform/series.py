@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .errors import ConvergenceError
 
 INF = float("inf")

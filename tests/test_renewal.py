@@ -14,7 +14,7 @@ from thermoform import (EnvelopeError, IndeterminateError,
                         pressure_curve, pressure_derivative, renewal_zn,
                         smoothness_at_transition, solve_pressure, solve_rpf,
                         NULL_RECURRENT, POSITIVE_RECURRENT, TRANSIENT,
-                        FIRST_ORDER, C1)
+                        FIRST_ORDER)
 from thermoform import sequences as sq
 from thermoform.transfer import cycle_components
 
