@@ -486,6 +486,7 @@ def _mp_level_values(model: IntervalMapModel, ladder: np.ndarray) -> np.ndarray:
     n_levels = len(ladder) - 1
     left = 0.5 * (1.0 + ladder[:-1])
     right = 0.5 * (1.0 + np.concatenate(([1.0], ladder[:-2])))
+
     def returns_below(mid):
         y = mid.copy()
         for k in range(n_levels):
