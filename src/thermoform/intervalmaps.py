@@ -245,7 +245,7 @@ def periodic_points(model: IntervalMapModel, n: int) -> PeriodicPointSet:
 
     def root_above(mid):
         f_mid = f_n(mid)
-        return np.where(rising, f_mid < mid, f_mid > mid)
+        return rising & (f_mid < mid) | ~rising & (f_mid > mid)
 
     roots = _bisect(root_above, lo, hi)
     # endpoint roots (fixed point at 0 sits on its cell boundary)
