@@ -152,7 +152,8 @@ def _sum_payload(cs) -> dict:
 
 # -- task handlers: (task block, run) -> report payload ----------------------
 # `run` holds the parsed subjects (renewal, seq, shift, potential, interval),
-# the tolerances, and the files and warnings the tasks leave to be written.
+# the tolerances, the files and warnings the tasks leave to be written, and
+# the report blocks that describe a subject (`blocks`, top-level report keys).
 
 CURVE_HEADER = ["t", "p", "class", "Dp", "G", "enclosure_width"]
 GNUPLOT_SCRIPT = ("set datafile separator ','\n"
@@ -342,6 +343,12 @@ def _parse_subjects(config: dict, task: dict, run) -> None:
         if run.interval.kind != CHEBYSHEV and task.keys() & _RENEWAL_TASKS.keys():
             # resolved once for every renewal task
             run.renewal = run.interval.first_return(block.get("levels", 150))
+            if run.interval.kind == MANNEVILLE_POMEAU:
+                # the fitted tail exponent is not certified; theory gives 1 + 1/alpha
+                run.blocks["mp_tail"] = {
+                    "log_coeff": {"value": run.renewal.envelope.log_coeff,
+                                  "label": "estimate"},
+                    "log_coeff_theory": 1.0 + 1.0 / run.interval.alpha}
 
 
 def run_config(config: dict, outdir: str, root_tol: float | None = None,
@@ -355,7 +362,8 @@ def run_config(config: dict, outdir: str, root_tol: float | None = None,
     rt = _check_tol("root_tol", root_tol if root_tol is not None
                     else tolerances.get("root_tol", DEFAULT_ROOT_TOL))
     st = _check_tol("sum_tol", tolerances.get("sum_tol", DEFAULT_SUM_TOL))
-    run = SimpleNamespace(root_tol=rt, sum_tol=st, gnuplot=gnuplot, files={}, warnings=[])
+    run = SimpleNamespace(root_tol=rt, sum_tol=st, gnuplot=gnuplot, files={}, warnings=[],
+                          blocks={})
     _parse_subjects(config, task, run)
     outputs = {name: handler(task[name], run)
                for name, handler in TASKS[kind].items() if name in task}
@@ -369,6 +377,7 @@ def run_config(config: dict, outdir: str, root_tol: float | None = None,
         "files": sorted(run.files),
         "warnings": run.warnings,
         "tolerances": {"root_tol": rt, "sum_tol": st},
+        **run.blocks,
     }
     write_json(os.path.join(outdir, "report.json"), report)
     return report

@@ -149,6 +149,23 @@ def test_mp_level_cap_exits_2_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_mp_report_labels_the_fitted_tail_exponent_an_estimate(tmp_path):
+    cfg = {"model": "interval",
+           "interval": {"kind": "manneville_pomeau", "alpha": 0.5, "levels": 120},
+           "task": {"classify": {"t": 1.2}}}
+    report = run_config(cfg, str(tmp_path / "mp"))
+    tail = report["mp_tail"]
+    assert tail["log_coeff"]["label"] == "estimate"
+    assert tail["log_coeff_theory"] == 3.0
+    assert abs(tail["log_coeff"]["value"] - 3.0) <= 0.15
+    assert json.loads((tmp_path / "mp" / "report.json").read_text())["mp_tail"] == tail
+    # a doubling-map first-return model is exact: no such block
+    cfg = {"model": "interval", "interval": {"kind": "doubling_grid", "head_value": -1.4,
+                                             "head_count": 30, "gamma": 3.0},
+           "task": {"classify": {"t": 1.0}}}
+    assert "mp_tail" not in run_config(cfg, str(tmp_path / "grid"))
+
+
 def run_main(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -8,11 +8,12 @@ import pytest
 
 from thermoform import (RealizedSequence, chebyshev_model,
                         chebyshev_pressure_exact, doubling_grid_model,
-                        gurevich_estimate, hofbauer_doubling_model,
+                        POSITIVE_RECURRENT, classify, gurevich_estimate,
+                        hofbauer_doubling_model, locate_flat_interval,
                         manneville_pomeau_model, mp_induced_model,
                         mp_preimage_ladder, periodic_points, renewal_zn,
                         solve_pressure, two_slope_kink, zn_sum)
-from thermoform.intervalmaps import _dyadic_codes_below, _mp_level_values
+from thermoform.intervalmaps import _dyadic_codes_below
 from thermoform.sequences import build_tail, normalize
 
 LOG2 = math.log(2.0)
@@ -155,58 +156,62 @@ def test_mp_ladder_matches_inverse_bitwise(alpha):
                               reference[:n_levels + 1])
 
 
-@pytest.mark.parametrize("alpha", MP_LADDER_ALPHAS)
-def test_mp_s_table_matches_inverse_ladder_bitwise(alpha):
-    model = manneville_pomeau_model(alpha)
-    reference = reference_mp_ladder(alpha, 120)
-    for n_levels in (8, 49, 120):
-        built = mp_induced_model(alpha, n_levels).s_values(np.arange(1, n_levels + 1))
-        assert np.array_equal(built, _mp_level_values(model, reference[:n_levels + 1]))
-
-
 def test_mp_ladder_of_2000_levels_is_fast():
     started = time.perf_counter()
     mp_preimage_ladder(0.5, 2000)
     assert time.perf_counter() - started <= 0.6
 
 
-def scalar_mp_level_values(alpha, n_levels):
-    """Reference: bisect each level's return point on its own, scalar calls."""
-    model = manneville_pomeau_model(alpha)
-    ladder = mp_preimage_ladder(alpha, n_levels)
-    s_vals = np.empty(n_levels)
-    for n in range(1, n_levels + 1):
-        left = 0.5 * (1.0 + ladder[n - 1])
-        right = 0.5 * (1.0 + (ladder[n - 2] if n >= 2 else 1.0))
-
-        def f_return(x):
-            y = model.apply(np.asarray(x))
-            for _ in range(n - 1):
-                y = model.apply(y)
-            return y
-
-        a, b = left, right - 1e-15
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if float(f_return(mid)) < mid:
-                a = mid
-            else:
-                b = mid
-        xi = 0.5 * (a + b)
-        orbit = np.empty(n)
-        for i in range(n):
-            orbit[i] = xi
-            xi = float(model.apply(np.array(xi)))
-        s_vals[n - 1] = -float(np.sum(np.log(model.deriv_abs(orbit))))
-    return s_vals
+@pytest.mark.parametrize("n_levels", [8, 48, 2000])
+def test_mp_level_weights_telescope_to_the_ladder(n_levels):
+    # level n's weight is xi_{n-2} - xi_{n-1} (xi_{-1} = 1); the gaps are exact
+    # float differences because xi_{k+1} >= xi_k / 2
+    weights = np.exp(mp_induced_model(0.5, n_levels).s_values(np.arange(1, n_levels + 1)))
+    xi_last = mp_preimage_ladder(0.5, n_levels - 1)[-1]
+    eps = np.finfo(float).eps
+    assert abs(math.fsum(weights) - (1.0 - xi_last)) <= 4.0 * n_levels * eps
 
 
-@pytest.mark.parametrize("n_levels", [8, 33])
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
-def test_mp_levels_match_scalar_reference_bitwise(alpha, n_levels):
-    model = mp_induced_model(alpha, n_levels)
-    built = model.s_values(np.arange(1, n_levels + 1))
-    assert np.array_equal(built, scalar_mp_level_values(alpha, n_levels))
+def test_mp_flat_onset_is_at_one():
+    # Lebesgue measure is conformal: the pressure vanishes from t = 1 on
+    model = mp_induced_model(0.5, 120)
+    flat = locate_flat_interval(model, (0.5, 1.5), tol=1e-9)
+    assert abs(flat.t_start - 1.0) <= 1e-5 and math.isinf(flat.t_end)
+    assert classify(model, 1.0).kind == POSITIVE_RECURRENT
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.1, 3.0), n_levels=st.integers(8, 200))
+def test_mp_level_values_lie_between_the_cylinder_end_values(alpha, n_levels):
+    """-log|DF^n| on level n's cylinder runs between the sums of log f' over
+    the ladder rungs its orbit visits: xi_0..xi_{n-2} at one end and
+    xi_1..xi_{n-1} at the other (f' at xi_0 = 1/2 is the left branch's 2 + alpha)."""
+    s = mp_induced_model(alpha, n_levels).s_values(np.arange(1, n_levels + 1))
+    xi = mp_preimage_ladder(alpha, n_levels - 1)
+    cum = np.concatenate(([0.0], np.cumsum(np.log1p(2.0 ** alpha * (1.0 + alpha) * xi ** alpha))))
+    n = np.arange(1, n_levels + 1)
+    lower = -LOG2 - cum[n - 1]  # sum over k = 0..n-2
+    upper = -LOG2 - (cum[n] - cum[1])  # sum over k = 1..n-1
+    assert np.all(lower - 1e-12 <= s) and np.all(s <= upper + 1e-12)
+
+
+def test_mp_s_refuses_levels_below_one():
+    model = mp_induced_model(0.5, 8)
+    for n in ([0, -1], [0], [-1], [1, 0]):
+        with pytest.raises(ValueError, match="n >= 1"):
+            model.s_values(n)
+
+
+def test_mp_model_of_2000_levels_builds_in_a_second():
+    started = time.perf_counter()
+    mp_induced_model(0.5, 2000)
+    assert time.perf_counter() - started <= 1.0
+
+
+def test_mp_ladder_stalled_at_its_resolution_is_refused():
+    # at alpha = 0.05 the ladder falls below the bisection's step near 1e-18
+    with pytest.raises(ValueError, match="stalls at level 151"):
+        mp_induced_model(0.05, 200)
 
 
 @pytest.mark.parametrize("alpha", [1023.9, math.inf, math.nan, 1024, 10 ** 400])
