@@ -495,8 +495,9 @@ def mp_induced_model(alpha: float, n_levels: int) -> RenewalModel:
     computed levels, where `s` is that shape exactly, so its eps is 0.  The
     build costs about the ladder (linear in the level count, 0.24-0.29 s at
     2000 levels on a 2-vCPU Xeon host); the level count stays capped at
-    MP_MAX_LEVELS, the schema's `levels` maximum.  A ladder that stalls at its bisection's resolution
-    (small alpha, many levels) leaves a level of zero length and is refused.
+    MP_MAX_LEVELS, the schema's `levels` maximum.  A ladder that stalls at
+    its bisection's resolution (small alpha, many levels) leaves a level of
+    zero length and is refused.
     """
     if n_levels < 8:
         raise ValueError("need at least 8 levels")
