@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -207,8 +208,8 @@ def _finite_classify(sub: dict, run) -> dict:
 
 
 def _transitions(sub: dict, run) -> dict:
-    found = flat_transitions(run.renewal, tuple(sub["bracket"]),
-                             tol=max(run.root_tol, 1e-9), sum_tol=run.sum_tol)
+    found = flat_transitions(run.renewal, tuple(sub["bracket"]), tol=run.root_tol,
+                             sum_tol=run.sum_tol)
     if found is None:
         return {"flat_interval": None}
     # a side the flat set runs past stays null and has no smoothness
@@ -243,7 +244,7 @@ def _sequence_table(sub: dict, run) -> dict:
 
 
 def _zn(sub: dict, run) -> dict:
-    base = tuple(sub.get("base", (0.0, 1.0 + 1e-12)))
+    base = tuple(sub.get("base", inspect.signature(zn_sum).parameters["base"].default))
     zs = [zn_sum(run.interval, sub["t"], n, base) for n in range(1, sub["n_max"] + 1)]
     rows = [(float(z.n), z.value, math.log(z.value) / z.n if z.value > 0 else math.nan,
              float(z.in_base), float(z.skipped)) for z in zs]

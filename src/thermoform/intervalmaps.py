@@ -368,17 +368,16 @@ class ZnResult:
 
 
 def zn_sum(model: IntervalMapModel, t: float, n: int,
-           base: tuple[float, float] | None = None) -> ZnResult:
+           base: tuple[float, float] = (0.0, 1.0 + 1e-12)) -> ZnResult:
     """Periodic-orbit partition sum over points in the base interval.
 
     Weights are |Df^n|^(-t) for the smooth kinds and exp(t * S_n phi) for
     the coded doubling map, where the result carries a certified relative
-    error bound (see _doubling_zn).  The base is half-open [lo, hi).
+    error bound (see _doubling_zn).  The base is half-open [lo, hi); the
+    default takes in the whole domain, x = 1 included.
     """
     if not 1 <= n <= MAX_PERIOD:
         raise ValueError(f"n must be in [1, {MAX_PERIOD}]")
-    if base is None:
-        base = (0.0, 1.0 + 1e-12)
     lo, hi = float(base[0]), float(base[1])
     if model.kind == DOUBLING_GRID:
         # the points increase with the code, so the base is a code range
@@ -428,14 +427,15 @@ def gurevich_estimate(model: IntervalMapModel, t: float, n_max: int) -> Gurevich
 
 
 def two_slope_kink(ts, ps):
-    """Intersection of the lines fitted to the three leftmost and the three
-    rightmost points of a curve.
+    """Intersection of the lines fitted to the points at the three smallest
+    and at the three largest t of a curve, in whatever order they are given.
 
     Returns (t_star, left_slope, right_slope); the input should sample the
     asymptotic linear branches on both sides of a suspected kink.
     """
     ts = np.asarray(ts, dtype=float)
-    ps = np.asarray(ps, dtype=float)
+    order = np.argsort(ts, kind="stable")
+    ts, ps = ts[order], np.asarray(ps, dtype=float)[order]
     if len(ts) < 6:
         raise ValueError("not enough points for the two-slope fit")
     if np.ptp(ts[:3]) == 0.0 or np.ptp(ts[-3:]) == 0.0:

@@ -91,9 +91,9 @@ class RenewalModel:
         """s_1..s_m, read from the model's level table.
 
         The first call validates the envelope.  The table grows by evaluating
-        `s` on the levels it does not yet hold; a grown table is a new array
-        swapped in whole, never written in place, so concurrent callers can at
-        worst repeat work.  The returned view is read-only.
+        `s` on the levels it does not yet hold, into a new array; the engine
+        runs on one thread, so nothing guards that swap.  The returned view is
+        read-only.
         """
         table = self._s_table
         if table is None:
@@ -103,9 +103,7 @@ class RenewalModel:
             new = self.s_values(np.arange(len(table) + 1, m + 1, dtype=np.int64))
             table = np.concatenate((table, new))
             table.setflags(write=False)
-            current = self._s_table
-            if current is None or len(current) < m:
-                object.__setattr__(self, "_s_table", table)
+            object.__setattr__(self, "_s_table", table)
         return table[:m]
 
     def log_mult(self, n) -> np.ndarray:
@@ -139,11 +137,14 @@ def certified_series(model: RenewalModel, t: float, p: float, *,
                      tol: float = DEFAULT_SUM_TOL, cap: int = _SERIES_CAP) -> CertifiedSum:
     """Enclosure of sum n^n_weight * [s_n] * m_n exp(t s_n - n p).
 
-    n_weight in {0, 1}; with s_weight the terms carry a factor s_n (signed).
-    Divergence is certified from the envelope's lower side.
+    n_weight in {0, 1}; with s_weight the terms carry a factor s_n (signed)
+    instead, and n_weight must be 0.  Divergence is certified from the
+    envelope's lower side.
     """
     if n_weight not in (0, 1):
         raise ValueError("n_weight must be 0 or 1")
+    if n_weight and s_weight:
+        raise ValueError("s_weight sums carry no n weight; n_weight must be 0")
     e = model.envelope
     m = max(e.n_start + 1, 1024)
     s_head = model.s_table(m)
@@ -482,9 +483,10 @@ def flat_transitions(model: RenewalModel, bracket: tuple[float, float],
     Entries (t, kind, bracket, smoothness): an "onset-of-flat" entry when the
     flat interval starts inside the bracket, then an "end-of-flat" entry when
     it ends inside it.  None when no point of the bracket is found flat (see
-    locate_flat_interval); an empty list when the whole bracket is flat.
+    locate_flat_interval); an empty list when the whole bracket is flat.  The
+    search runs to tol, floored at 1e-9.
     """
-    flat = locate_flat_interval(model, bracket, tol=tol, sum_tol=sum_tol)
+    flat = locate_flat_interval(model, bracket, tol=max(tol, 1e-9), sum_tol=sum_tol)
     if flat is None:
         return None
     ends = [(ONSET_OF_FLAT, flat.t_start, flat.start_bracket),
@@ -633,7 +635,7 @@ def pressure_curve(model: RenewalModel, t_grid, root_tol: float = DEFAULT_ROOT_T
     warnings: list[str] = []
     if len(ts) >= 2:
         transitions = flat_transitions(model, (float(ts[0]), float(ts[-1])),
-                                       tol=max(root_tol, 1e-9), sum_tol=sum_tol) or []
+                                       tol=root_tol, sum_tol=sum_tol) or []
     if len(transitions) == 2:
         start, end = (tr["smoothness"] for tr in transitions)
         if start == FIRST_ORDER and end == C1:

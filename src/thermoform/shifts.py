@@ -6,10 +6,11 @@ CSR index arrays (`indptr`, and the successors of each symbol in increasing
 order), built from a dense 0/1 array or, for large synthetic graphs such as
 the loop realizations of renewal structures, from an edge list.
 `bfs_levels` walks that graph level by level with whole-frontier gathers,
-and `strong_period` uses it to decide strong connectivity and the period:
-a graph is strongly connected when the forward and the backward walk from
-one vertex reach every vertex, and its period is then the gcd of
-level[u] + 1 - level[v] over its edges u -> v.
+and `cyclic_classes` uses it to find the strongly connected classes and
+their periods: a vertex's class is what both the forward and the backward
+walk from it reach, and the class's period is the gcd of
+level[u] + 1 - level[v] over its edges u -> v, with the forward levels
+(Seneta 1981, Ch. 1).  `strong_period` is the first class of that walk.
 """
 
 from __future__ import annotations
@@ -60,31 +61,27 @@ def strong_period(n: int, sources: np.ndarray, targets: np.ndarray) -> int:
     """Period (gcd of cycle lengths) of the digraph on n vertices with edges
     sources[e] -> targets[e], listed by source; 0 if it is not strongly
     connected.  The graph is primitive (mixing) exactly when this is 1."""
-    by_target = np.argsort(targets, kind="stable")
-    level = bfs_levels(csr_indptr(sources, n), targets, 0)
-    back = bfs_levels(csr_indptr(targets[by_target], n), sources[by_target], 0)
-    if np.any(level < 0) or np.any(back < 0):
-        return 0
-    return int(np.gcd.reduce(level[sources] + 1 - level[targets]))
+    cls, _, period = next(cyclic_classes(n, sources, targets), (None, None, 0))
+    return period if cls is not None and cls.all() else 0
 
 
 def cyclic_classes(n: int, sources: np.ndarray, targets: np.ndarray):
     """The strongly connected classes carrying a cycle of the digraph on n
     vertices with edges sources[e] -> targets[e], listed by source, in order
-    of their smallest vertex: each as its vertex mask and its inner edges,
-    relabelled 0..k-1 and still listed by source."""
+    of their smallest vertex: each as its vertex mask, the mask of its inner
+    edges and its period."""
     by_target = np.argsort(targets, kind="stable")
     forward, back = csr_indptr(sources, n), csr_indptr(targets[by_target], n)
     free = np.ones(n, dtype=bool)
-    for first in range(n):
-        if free[first]:
-            cls = ((bfs_levels(forward, targets, first) >= 0)
-                   & (bfs_levels(back, sources[by_target], first) >= 0))
-            free &= ~cls
-            inner = cls[sources] & cls[targets]
-            if inner.any():  # else a lone vertex without a loop
-                label = np.cumsum(cls) - 1
-                yield cls, label[sources[inner]], label[targets[inner]]
+    while free.any():
+        first = int(np.argmax(free))
+        level = bfs_levels(forward, targets, first)  # shortest paths in a class stay in it
+        cls = (level >= 0) & (bfs_levels(back, sources[by_target], first) >= 0)
+        free &= ~cls
+        inner = cls[sources] & cls[targets]
+        if inner.any():  # else a lone vertex without a loop
+            yield cls, inner, int(np.gcd.reduce(level[sources[inner]] + 1
+                                                - level[targets[inner]]))
 
 
 class FiniteShift:

@@ -9,11 +9,13 @@ exp of the Birkhoff sums.
 A matrix is three numpy arrays, rows, cols and vals, in CSR order (by row,
 then column).  T x is np.bincount(rows, weights=vals * x[cols]), which adds
 each row's products in column order starting from zero, as a CSR product
-does; x T is the same call on the entries reordered by column.  Components
-come from breadth-first levels (shifts.bfs_levels).  The power iteration
-runs on T^d, with d the lcm of the periods of the cycle-carrying classes of
-T's nonzero graph, so the diagonal blocks of T^d are primitive; on a
-periodic component they share the root lambda^d (Seneta 1981, Ch. 1).
+does; x T is the same call on the entries reordered by column.  The
+components of a shift are the cycle-carrying classes of T's graph, found
+with their periods by one breadth-first walk (shifts.cyclic_classes), and
+each is solved on its block of T.  The power iteration runs on T^d, with d
+the lcm of the periods of the cycle-carrying classes of T's nonzero graph,
+so the diagonal blocks of T^d are primitive; on a periodic component they
+share the root lambda^d (Seneta 1981, Ch. 1).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 from .errors import ConvergenceError, NotMixingError
 from .renewal import NON_UNIQUE, POSITIVE_RECURRENT, PressureCurve, check_curve
 from .shifts import (DENSE_LIMIT, FiniteShift, LocallyConstantPotential,
-                     SymbolValues, enumerate_admissible_words, is_admissible,
-                     is_topologically_mixing, cyclic_classes, strong_period)
+                     SymbolValues, cyclic_classes, enumerate_admissible_words,
+                     is_topologically_mixing)
 
 POWER_STEPS = 10 ** 6  # power-iteration cap of solve_rpf and decompose_components
 
@@ -41,7 +43,7 @@ class TransferMatrix:
     vals: np.ndarray  # exp(phi(source))
     shift: FiniteShift
     potential: LocallyConstantPotential
-    words: list | None = None  # the states past depth 1
+    words: list | None = None  # the states, unless they are the symbols 0..size-1
 
     @cached_property
     def states(self) -> list:
@@ -164,14 +166,10 @@ def _period(tm: TransferMatrix) -> tuple[int, bool]:
     """(d, strongly connected) for T's graph, where an underflowed weight is
     no edge.  d is the lcm of the periods of the graph's classes that carry a
     cycle, so T^d is primitive on each of their cyclic subclasses."""
-    nonzero = tm.vals != 0
-    src, dst = tm.rows[nonzero], tm.cols[nonzero]  # T's graph reversed, listed by source
-    d = strong_period(tm.size, src, dst)  # 0 when not strongly connected
-    if d:
-        return d, True
-    periods = (strong_period(int(cls.sum()), *edges)
-               for cls, *edges in cyclic_classes(tm.size, src, dst))
-    return math.lcm(*periods), False  # lcm() is 1: no class carries a cycle
+    nonzero = tm.vals != 0  # T's graph reversed, listed by source
+    classes = list(cyclic_classes(tm.size, tm.rows[nonzero], tm.cols[nonzero]))
+    return (math.lcm(*(d for *_, d in classes)),  # lcm() is 1: no class carries a cycle
+            len(classes) == 1 and bool(classes[0][0].all()))
 
 
 def _rpf_solution(tmatrix, pressure, h, m, residual, iterations) -> RPFSolution:
@@ -210,7 +208,7 @@ def cylinder_weight(sol: RPFSolution, word) -> float:
 
 @dataclass(frozen=True)
 class ComponentSolution:
-    symbols: list[int]  # original symbols of the component
+    symbols: list[int]  # the shift's symbols that the component's words use
     pressure: float
     solution: RPFSolution | None  # None for a periodic component
     residual: float  # power-iteration residual; of T^d over e^(P(d-1)) at period d
@@ -231,50 +229,34 @@ class ComponentDecomposition:
         return POSITIVE_RECURRENT if self.unique_maximizer else NON_UNIQUE
 
 
-def cycle_components(shift: FiniteShift, potential: LocallyConstantPotential) -> list:
-    """The t-independent part of decompose_components: per strongly connected
-    component that carries a cycle, its symbols, its sub-shift (symbols
-    relabelled 0..k-1) and the potential relabelled onto it.
-
-    Components come out sorted by their first symbol (shifts.cyclic_classes);
-    a wandering symbol, on no cycle, carries no invariant mass and is left out.
-    """
-    m = shift.alphabet_size
-    comps = []
-    for comp, sub_src, sub_dst in cyclic_classes(m, *shift.edges()):
-        if comp.all():
-            return [(list(range(m)), shift, potential)]
-        symbols = [int(i) for i in np.nonzero(comp)[0]]
-        sub_shift = FiniteShift.from_edges(len(symbols), sub_src, sub_dst)
-        relabel = {orig: new for new, orig in enumerate(symbols)}
-        vals = {tuple(relabel[s] for s in w): v for w, v in potential.values.items()
-                if all(s in relabel for s in w)}
-        vals = {w: v for w, v in vals.items() if is_admissible(w, sub_shift)}
-        comps.append((symbols, sub_shift,
-                      LocallyConstantPotential(potential.depth, vals, sub_shift)))
-    # nonempty: every symbol has a successor, so some component carries a cycle
-    return comps
-
-
 def decompose_components(shift: FiniteShift, potential: LocallyConstantPotential,
-                         t: float = 1.0, tol: float = 1e-12,
-                         components: list | None = None) -> ComponentDecomposition:
+                         t: float = 1.0, tol: float = 1e-12) -> ComponentDecomposition:
     """Per-component Perron data of t*potential; the total pressure is the max.
 
-    Components are the strongly connected pieces carrying at least one cycle
-    (see cycle_components; pass its result as `components` to solve one shift
-    at many t without recomputing them).  Ties within 1e-9 are all reported as
-    maximizers, which is how non-uniqueness of the equilibrium state shows up
-    for non-mixing inputs.
+    One walk of the transfer matrix's whole graph, zero weights included,
+    finds the classes that carry a cycle, in order of their first state, with
+    their periods (shifts.cyclic_classes).  Each is a component, solved on
+    its block of the matrix, whose states are the shift's own words; a block
+    holding an underflowed weight takes its period from its nonzero graph
+    (_period).  A wandering state, on no cycle, carries no invariant mass and
+    is left out.  Ties within 1e-9 are all reported as maximizers, which is
+    how non-uniqueness of the equilibrium state shows up for non-mixing inputs.
     """
-    if components is None:
-        components = cycle_components(shift, potential)
+    tm = build_transfer_matrix(shift, potential.scaled(t))
     comps: list[ComponentSolution] = []
-    for symbols, sub_shift, sub_pot in components:
-        tm = build_transfer_matrix(sub_shift, sub_pot.scaled(t))
-        period = _period(tm)[0]
-        pressure, h, m, res, it = _power_iterate(tm, tol, period)
-        sol = _rpf_solution(tm, pressure, h, m, res, it) if period == 1 else None
+    # nonempty: every state has a successor, so some class carries a cycle
+    for cls, inner, period in cyclic_classes(tm.size, tm.rows, tm.cols):
+        block = tm
+        if not cls.all():  # its entries, relabelled in order, so still in CSR order
+            label = np.cumsum(cls) - 1
+            block = TransferMatrix(int(cls.sum()), label[tm.rows[inner]], label[tm.cols[inner]],
+                                   tm.vals[inner], shift, tm.potential,
+                                   [tm.states[i] for i in np.flatnonzero(cls)])
+        if not block.vals.all():
+            period = _period(block)[0]
+        pressure, h, m, res, it = _power_iterate(block, tol, period)
+        sol = _rpf_solution(block, pressure, h, m, res, it) if period == 1 else None
+        symbols = sorted({s for w in block.states for s in w})
         comps.append(ComponentSolution(symbols, pressure, sol, res))
     pressures = np.array([c.pressure for c in comps])
     total = float(pressures.max())
@@ -289,27 +271,23 @@ def pressure_curve_finite(shift: FiniteShift, potential: LocallyConstantPotentia
     The shift is mixing exactly when its transition graph is strongly
     connected with period 1; is_topologically_mixing reads that period off
     the CSR arrays, so no matrix power is formed and no alphabet is too long.
-    The pressure is the maximum over components (decompose_components); a
-    mixing shift is the single-component case with a primitive RPF solution.
-    Where several components tie for the maximum the equilibrium state is not
-    unique and Dp is undefined; otherwise Dp is the equilibrium average of the
-    potential on the maximizing component (nan for a periodic one).  The
-    enclosure width is the maximizing component's power-iteration residual
-    (the largest one where components tie); on a mixing shift that is the
-    RPF residual.
+    The pressure is the maximum over components, decomposed at each t
+    (decompose_components); a mixing shift is the single-component case with
+    a primitive RPF solution.  Where several components tie for the maximum
+    the equilibrium state is not unique and Dp is undefined; otherwise Dp is
+    the equilibrium average of the potential on the maximizing component
+    (nan for a periodic one).  The enclosure width is the maximizing
+    component's power-iteration residual (the largest one where components
+    tie); on a mixing shift that is the RPF residual.
     """
     ts = np.asarray(list(t_grid), dtype=float)
-    parts = cycle_components(shift, potential)
     mixing = is_topologically_mixing(shift)
-    decs = [decompose_components(shift, potential, t=float(t), tol=tol, components=parts)
-            for t in ts]
+    decs = [decompose_components(shift, potential, t=float(t), tol=tol) for t in ts]
     ders, widths = np.full(len(ts), math.nan), np.zeros(len(ts))
     for i, dec in enumerate(decs):
         comp = dec.components[dec.maximizers[0]]
         if dec.unique_maximizer and comp.solution is not None:
-            # states use component-local symbols; map back
-            phi = np.array([potential(tuple(comp.symbols[s] for s in w[:potential.depth]))
-                            for w in comp.solution.matrix.states])
+            phi = np.array([potential(w) for w in comp.solution.matrix.states])
             ders[i] = float(comp.solution.mu @ phi)
         widths[i] = max(dec.components[j].residual for j in dec.maximizers)
     ps = np.array([dec.pressure for dec in decs])

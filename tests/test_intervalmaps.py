@@ -87,6 +87,15 @@ def test_two_slope_kink_recovers_chebyshev():
     assert s_right == pytest.approx(-LOG2, abs=0.02)
 
 
+def test_two_slope_kink_fits_the_extreme_t_in_any_order():
+    ts = [0.5, -3.0, 1.0, -2.5, 1.5, -2.0]
+    ps = [gurevich_estimate(chebyshev_model(), t, 10).extrapolated for t in ts]
+    order = np.argsort(ts)
+    kink = two_slope_kink(ts, ps)
+    assert kink == two_slope_kink(np.array(ts)[order], np.array(ps)[order])
+    assert abs(kink[0] + 1.0) <= 1e-3
+
+
 def test_mp_fixed_points_boundary_convention():
     pts = periodic_points(manneville_pomeau_model(0.5), 1)
     assert len(pts.points) == 1  # x = 1 is excluded by the half-open domain

@@ -9,14 +9,14 @@ from thermoform import (EnvelopeError, IndeterminateError,
                         LocallyConstantPotential, RenewalModel,
                         TailEnvelope, build_transfer_matrix, certified_G,
                         certified_series, classify, conformal_atom_masses,
-                        cyr_sarig_witness, finite_truncation, flat_transitions,
+                        cyr_sarig_witness, decompose_components, finite_truncation,
+                        flat_transitions,
                         locate_flat_interval,
                         pressure_curve, pressure_derivative, renewal_zn,
                         smoothness_at_transition, solve_pressure, solve_rpf,
                         NULL_RECURRENT, POSITIVE_RECURRENT, TRANSIENT,
                         FIRST_ORDER)
 from thermoform import sequences as sq
-from thermoform.transfer import cycle_components
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -157,6 +157,13 @@ def test_flat_set_past_the_left_end_is_unbounded():
     assert found[0]["t"] == flat.t_end and found[0]["bracket"] == flat.end_bracket
 
 
+def test_flat_transitions_floor_their_tolerance():
+    # the CLI and pressure_curve pass a root tolerance; the search stops at 1e-9
+    model = dfu_model()
+    assert (flat_transitions(model, (1.5, 4.5), tol=1e-12)
+            == flat_transitions(model, (1.5, 4.5), tol=1e-9))
+
+
 def test_flat_set_past_both_ends_has_no_transitions():
     model = dfu_model()
     flat = locate_flat_interval(model, (1.5, 2.5), tol=1e-9)
@@ -256,6 +263,12 @@ def test_shifted_integral_at_null_recurrent_zero_pressure():
     assert hi - lo <= 1e-10
 
 
+def test_s_weighted_series_refuses_an_n_weight():
+    # the s-weighted sum has no n factor; asking for both used to drop n_weight
+    with pytest.raises(ValueError, match="n_weight must be 0"):
+        certified_series(geometric_model(1.0), 1.0, 0.0, n_weight=1, s_weight=True)
+
+
 def test_degenerate_flat_free_model():
     # s_n = 0 with grid multiplicities: G diverges at the floor for every t,
     # p(t) = log 3 via the divergence-certificate path
@@ -320,10 +333,15 @@ def test_large_truncation_never_goes_dense():
     assert shift.alphabet_size == 4951
     with pytest.raises(ValueError):
         shift.dense()
-    # components and primitivity walk the CSR arrays
-    parts = cycle_components(shift, pot)
-    assert len(parts) == 1 and parts[0][1] is shift
+    # components and primitivity walk the CSR arrays: one component, whose
+    # block is the whole matrix
+    dec = decompose_components(shift, pot)
+    assert len(dec.components) == 1 and dec.components[0].symbols == list(range(4951))
     tm = build_transfer_matrix(shift, pot)
+    assert dec.components[0].solution.matrix.size == tm.size
+    for name in ("rows", "cols", "vals"):
+        block = getattr(dec.components[0].solution.matrix, name)
+        assert block.tobytes() == getattr(tm, name).tobytes()
     with pytest.raises(ValueError):
         tm.dense()
     assert abs(solve_rpf(tm, tol=1e-13).pressure - (LOG2 - 0.3)) <= 1e-12

@@ -13,8 +13,7 @@ from thermoform import (FiniteShift, LocallyConstantPotential, NotMixingError,
                         enumerate_periodic_words, full_shift, golden_mean_shift,
                         is_topologically_mixing, pressure_curve_finite,
                         renewal_shift, solve_rpf)
-from thermoform.shifts import strong_period
-from thermoform.transfer import cycle_components
+from thermoform.shifts import cyclic_classes, strong_period
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -206,6 +205,20 @@ def test_decompose_handles_periodic_component():
     assert dec.pressure == pytest.approx(0.0, abs=1e-10)
 
 
+def test_component_cylinder_weights_read_the_shift_symbols():
+    both, psi = nonmixing_setup()
+    comp = decompose_components(both, psi, t=1.0).components[1]
+    assert comp.symbols == [2, 3] and comp.solution.matrix.states == [(2,), (3,)]
+    assert abs(cylinder_weight(comp.solution, (2, 3)) - 0.25) <= 1e-12
+    # at depth 2 the states are the shift's 2-words and the symbols stay the base ones
+    words = [w for w in itertools.product(range(4), repeat=2) if both.allows(*w)]
+    deep = LocallyConstantPotential(2, {w: psi(w[:1]) for w in words}, both)
+    comp = decompose_components(both, deep, t=1.0).components[1]
+    assert comp.symbols == [2, 3]
+    assert comp.solution.matrix.states == [(2, 2), (2, 3), (3, 2), (3, 3)]
+    assert abs(cylinder_weight(comp.solution, (2, 3)) - 0.25) <= 1e-12
+
+
 def test_periodic_component_reports_its_residual():
     cyc = cycle_shift(3)
     pot = LocallyConstantPotential.from_symbol_values(cyc, [-0.4, 0.3, -1.2])
@@ -380,10 +393,26 @@ def test_components_match_transitive_closure(t):
     shift = FiniteShift(len(t), t)
     zero = LocallyConstantPotential.constant(shift, 0.0)
     expected, _ = closure_components(t)
-    parts = cycle_components(shift, zero)
-    assert [symbols for symbols, _, _ in parts] == expected
-    for symbols, sub_shift, _ in parts:
-        assert np.array_equal(sub_shift.dense(), t[np.ix_(symbols, symbols)])
+    comps = decompose_components(shift, zero).components
+    assert [comp.symbols for comp in comps] == expected
+    for comp in comps:
+        sub = t[np.ix_(comp.symbols, comp.symbols)]
+        if comp.solution is None:  # a periodic component
+            assert strong_period(len(sub), *np.nonzero(sub)) > 1
+            continue
+        block = comp.solution.matrix  # column = source, so the transpose
+        assert block.states == [(s,) for s in comp.symbols]
+        assert np.array_equal(block.dense() != 0, sub.T != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_class_periods_match_their_subgraphs(t):
+    rows, cols = np.nonzero(t)
+    for cls, inner, period in cyclic_classes(len(t), rows, cols):
+        sub = t[np.ix_(cls, cls)]
+        assert inner.tolist() == (cls[rows] & cls[cols]).tolist()
+        assert period == strong_period(len(sub), *np.nonzero(sub)) == python_bfs_period(sub)
 
 
 def boolean_scan(t, n_max):
