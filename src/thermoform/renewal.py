@@ -36,7 +36,7 @@ import numpy as np
 from .errors import EnvelopeError, ConvergenceError, IndeterminateError
 from .series import (CertifiedSum, INF, iv_add, iv_div_pos, iv_scale,
                      tail_log_power_exp, tail_power_exp)
-from .shifts import FiniteShift, LocallyConstantPotential, SymbolValues
+from .shifts import LocallyConstantPotential, SymbolValues, renewal_shift
 
 DEFAULT_SUM_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -665,30 +665,20 @@ def renewal_zn(model: RenewalModel, t: float, n_max: int) -> np.ndarray:
 
 
 def finite_truncation(model: RenewalModel, t: float, n_max: int):
-    """Realize loops of length <= n_max as a finite Markov shift.
+    """Realize loops of length <= n_max as the renewal shift on n_max symbols.
 
-    One base vertex with a self-loop (level 1) plus a chain of n-1 vertices
-    per level n >= 2; the level weight m_n exp(t s_n) sits on the first chain
-    vertex as a depth-1 potential value (the base carries level 1's weight).
-    The Perron root of the result solves the truncated renewal equation, so
-    its pressure increases to the engine's root as n_max grows.
+    renewal_shift(n_max) has the edges 0 -> 0, 0 -> k and k -> k-1, so every
+    cycle passes through 0 and level n's loop 0 -> n-1 -> ... -> 1 -> 0
+    visits 0..n-1 once each (Sarig, CMP 217, 2001).  With the level weights
+    w_n = m_n exp(t s_n), the depth-1 potential phi(0) = log w_1,
+    phi(k) = log w_{k+1} - log w_k telescopes along that loop to log w_n, so
+    the Perron root solves the truncated renewal equation
+    sum_{n <= n_max} w_n e^{-nP} = 1 and its pressure increases to the
+    engine's root as n_max grows.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     log_w = model.log_mult(ns) + t * model.s_values(ns)
-    n_vertices = 1 + int(np.sum(ns[1:] - 1))
-    # level n's chain of n - 1 vertices runs from first[n - 2] to last[n - 2]
-    first = 1 + np.concatenate([[0], np.cumsum(ns[1:-1] - 1)])
-    last = first + ns[1:] - 2
-    chain = np.arange(1, n_vertices)
-    succ = chain + 1
-    succ[last - 1] = 0  # each chain returns to the base
-    shift = FiniteShift.from_edges(
-        n_vertices, np.concatenate([np.zeros(n_max, dtype=np.int64), chain]),
-        np.concatenate([[0], first, succ]))  # base self-loop = level 1
-    phi = np.zeros(n_vertices)
-    phi[0] = log_w[0]
-    phi[first] = log_w[1:] - log_w[0]
-    potential = LocallyConstantPotential(1, SymbolValues(phi))
-    return shift, potential
+    phi = np.concatenate([log_w[:1], np.diff(log_w)])
+    return renewal_shift(n_max), LocallyConstantPotential(1, SymbolValues(phi))

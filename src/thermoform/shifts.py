@@ -4,7 +4,7 @@ Symbols are 0-based integers.  Transition matrices are 0/1 with entry (i, j)
 equal to 1 iff symbol j may follow symbol i.  A shift stores them once, as
 CSR index arrays (`indptr`, and the successors of each symbol in increasing
 order), built from a dense 0/1 array or, for large synthetic graphs such as
-the loop realizations of renewal structures, from an edge list.
+the renewal shift of a deep truncation, from an edge list.
 `bfs_levels` walks that graph level by level with whole-frontier gathers,
 and `cyclic_classes` uses it to find the strongly connected classes and
 their periods: a vertex's class is what both the forward and the backward
@@ -38,9 +38,12 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarra
     """Breadth-first distance from `start` in a CSR digraph; -1 where unreached.
 
     Each level expands the whole frontier at once: one gather of its
-    successor lists, then np.unique.
+    successor lists, whose unreached targets are kept once each in linear
+    time (slot[v] records one position of v in the gather, and only that
+    position is kept), so no sort is needed.
     """
     level = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    slot = np.empty_like(level)
     level[start] = 0
     frontier = np.array([start], dtype=np.int64)
     depth = 0
@@ -49,9 +52,11 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarra
         begin = indptr[frontier]
         counts = indptr[frontier + 1] - begin
         offsets = np.cumsum(counts) - counts
-        nxt = np.unique(indices[np.arange(int(counts.sum()))
-                                + np.repeat(begin - offsets, counts)])
+        nxt = indices[np.arange(int(counts.sum())) + np.repeat(begin - offsets, counts)]
         nxt = nxt[level[nxt] < 0]
+        at = np.arange(nxt.size)
+        slot[nxt] = at
+        nxt = nxt[slot[nxt] == at]
         level[nxt] = depth
         frontier = nxt
     return level
@@ -181,11 +186,9 @@ def renewal_shift(num_symbols: int) -> FiniteShift:
     m = num_symbols
     if m < 2:
         raise ValueError("need at least 2 symbols")
-    t = np.zeros((m, m), dtype=np.int8)
-    t[0, :] = 1
-    for n in range(1, m):
-        t[n, n - 1] = 1
-    return FiniteShift(m, t)
+    k = np.arange(1, m)
+    return FiniteShift.from_edges(m, np.concatenate([np.zeros(m, dtype=np.int64), k]),
+                                  np.concatenate([np.arange(m), k - 1]))
 
 
 def cycle_shift(m: int) -> FiniteShift:

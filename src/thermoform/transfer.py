@@ -148,7 +148,8 @@ def _power_iterate(tm: TransferMatrix, tol: float, period: int = 1):
     for it in range(1, POWER_STEPS + 1):
         th, log_h = _apply(*forward, h, period)
         tm_, log_m = _apply(*backward, m, period)
-        lam = _positive(float(m @ th) / float(m @ h), "the Perron estimate")  # over h's rescalings
+        mh = _positive(float(m @ h), "the Perron estimate")  # 0 once h, m are disjoint
+        lam = _positive(float(m @ th) / mh, "the Perron estimate")  # over h's rescalings
         lam_m = _positive(lam * math.exp(log_h - log_m), "the Perron estimate")  # over m's
         res = max(float(np.max(np.abs(th - lam * h))) / lam,
                   float(np.max(np.abs(tm_ - lam_m * m))) / lam_m)

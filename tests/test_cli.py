@@ -294,7 +294,20 @@ def test_non_finite_weights_exit_3_with_one_line(tmp_path, capsys, values, task)
         warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second line
         code, lines = run_main(tmp_path, capsys, cfg)
     assert time.monotonic() - started <= 2.0
-    assert code == 3 and len(lines) == 1 and "numerical failure" in lines[0]
+    assert code == 3 and len(lines) == 1
+    assert lines[0].startswith("numerical failure (FloatingPointError)")
+
+
+def test_underflow_that_breaks_every_cycle_exits_3_with_one_line(tmp_path, capsys):
+    # the 2-cycle's weight on 1 -> 0 underflows to 0, so h and m end on disjoint supports
+    cfg = {**finite_config([[0, 1], [1, 0]], 1, {"0": 0.0, "1": -800.0}),
+           "task": {"classify": {"t": 1.0}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, lines = run_main(tmp_path, capsys, cfg)
+    assert code == 3 and len(lines) == 1
+    assert lines[0] == ("numerical failure (FloatingPointError): power iteration: the Perron "
+                        "estimate is 0.0; check exp(t * phi) for overflow, underflow or nan")
 
 
 @pytest.mark.parametrize("task", [{"zn": {"t": -800.0, "n_max": 8}},
@@ -491,7 +504,8 @@ def test_console_entry_point(tmp_path):
 
 
 def test_no_run_loads_scipy(tmp_path):
-    # renewal, finite-shift, truncation and periodic-orbit runs all stay on numpy
+    # renewal, finite-shift, truncation and periodic-orbit runs all stay on
+    # numpy, and on numpy's core: none of them imports numpy.ma (about 11 ms)
     config = {"model": "renewal", "renewal": {"family": "grid", "gamma": 3.0},
               "task": {"classify": {"t": 1.0}}}
     orbits = [{"model": "interval", "interval": DOUBLING,
@@ -517,11 +531,13 @@ tf.solve_rpf(tf.build_transfer_matrix(shift, pot), tol=1e-13)
 for i, orbit in enumerate({orbits!r}):
     cli.run_config(orbit, {str(tmp_path)!r} + f"/o{{i}}")
 print(scipy_modules())
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 """)
     assert proc.returncode == 0, proc.stderr
-    renewal, finite = proc.stdout.splitlines()[-2:]
+    renewal, finite, masked = proc.stdout.splitlines()[-3:]
     assert renewal == "[]"
     assert finite == "[]"
+    assert masked == "[]"
 
 
 def test_finite_shift_curve_runs_in_a_fresh_process(tmp_path):

@@ -12,7 +12,7 @@ from thermoform import (EnvelopeError, IndeterminateError,
                         cyr_sarig_witness, decompose_components, finite_truncation,
                         flat_transitions,
                         locate_flat_interval,
-                        pressure_curve, pressure_derivative, renewal_zn,
+                        pressure_curve, pressure_derivative, renewal_shift, renewal_zn,
                         smoothness_at_transition, solve_pressure, solve_rpf,
                         NULL_RECURRENT, POSITIVE_RECURRENT, TRANSIENT,
                         FIRST_ORDER)
@@ -328,15 +328,32 @@ def test_truncation_matrix_matches_the_dict_potential_bitwise():
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
+@pytest.mark.parametrize("model, t", [(geometric_model(1.0), 0.3),
+                                      (geometric_model(0.9, grid=True), 0.2)])
+@pytest.mark.parametrize("n_max", [2, 30, 400])
+def test_truncation_root_solves_the_truncated_renewal_equation(model, t, n_max):
+    # whatever graph realizes the loops, its Perron root P solves
+    # sum_{n <= n_max} w_n e^{-nP} = 1 with w_n = m_n exp(t s_n)
+    shift, pot = finite_truncation(model, t, n_max)
+    want = renewal_shift(n_max)
+    assert shift.alphabet_size == n_max
+    assert shift.indptr.tobytes() == want.indptr.tobytes()
+    assert shift.indices.tobytes() == want.indices.tobytes()
+    p = solve_rpf(build_transfer_matrix(shift, pot), tol=1e-13).pressure
+    ns = np.arange(1, n_max + 1)
+    log_w = model.log_mult(ns) + t * model.s_values(ns)
+    assert abs(math.fsum(np.exp(log_w - ns * p)) - 1.0) <= 1e-12
+
+
 def test_large_truncation_never_goes_dense():
-    shift, pot = finite_truncation(geometric_model(1.0), 0.3, 100)
-    assert shift.alphabet_size == 4951
+    shift, pot = finite_truncation(geometric_model(1.0), 0.3, 5000)
+    assert shift.alphabet_size == 5000
     with pytest.raises(ValueError):
         shift.dense()
     # components and primitivity walk the CSR arrays: one component, whose
     # block is the whole matrix
     dec = decompose_components(shift, pot)
-    assert len(dec.components) == 1 and dec.components[0].symbols == list(range(4951))
+    assert len(dec.components) == 1 and dec.components[0].symbols == list(range(5000))
     tm = build_transfer_matrix(shift, pot)
     assert dec.components[0].solution.matrix.size == tm.size
     for name in ("rows", "cols", "vals"):
@@ -391,7 +408,7 @@ def test_pressure_curve_assembly():
 
 
 def test_abramov_truncation_consistency_grid():
-    # the grid-multiplicity loop realization agrees with the engine root
+    # the grid-multiplicity truncation agrees with the engine root
     model = geometric_model(0.9, grid=True)
     t = 0.2
     target = solve_pressure(model, t, tol=1e-13).pressure

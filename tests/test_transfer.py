@@ -13,7 +13,7 @@ from thermoform import (FiniteShift, LocallyConstantPotential, NotMixingError,
                         enumerate_periodic_words, full_shift, golden_mean_shift,
                         is_topologically_mixing, pressure_curve_finite,
                         renewal_shift, solve_rpf)
-from thermoform.shifts import cyclic_classes, strong_period
+from thermoform.shifts import bfs_levels, cyclic_classes, strong_period
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -295,6 +295,11 @@ def test_non_finite_estimates_stop_at_once():
     under = LocallyConstantPotential.from_symbol_values(shift, [-800.0, -800.0])
     with pytest.raises(FloatingPointError, match="Perron estimate is 0.0"):
         timed(lambda: decompose_components(shift, under))
+    # 1 -> 0 underflows, so no cycle is left and h and m end on disjoint supports
+    cycle = cycle_shift(2)
+    broken = LocallyConstantPotential.from_symbol_values(cycle, [0.0, -800.0])
+    with pytest.raises(FloatingPointError, match="Perron estimate is 0.0"):
+        timed(lambda: decompose_components(cycle, broken))
     over = LocallyConstantPotential.from_symbol_values(shift, [0.0, 400.0])
     with pytest.raises(FloatingPointError, match="overflow"):
         decompose_components(shift, over, t=2.0)
@@ -364,27 +369,42 @@ def closure_components(t):
     return comps, bool(reach.all())
 
 
+def python_bfs_levels(t, start: int) -> list[int]:
+    """Breadth-first distance from `start`, one vertex at a time; -1 where unreached."""
+    n = len(t)
+    level = [-1] * n
+    level[start] = 0
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(t[u])[0]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    return level
+
+
 def python_bfs_period(t) -> int:
     """Period of a strongly connected digraph: BFS levels from vertex 0, then
     the gcd of level[u] + 1 - level[v] over the edges, one vertex at a time."""
     n = len(t)
     succ = [[int(j) for j in np.nonzero(t[i])[0]] for i in range(n)]
-    level = [-1] * n
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    level = python_bfs_levels(t, 0)
     g = 0
     for u in range(n):
         for v in succ[u]:
             g = math.gcd(g, level[u] + 1 - level[v])
     return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.data())
+def test_bfs_levels_match_python_bfs(t, data):
+    start = data.draw(st.integers(0, len(t) - 1))
+    shift = FiniteShift(len(t), t)
+    assert bfs_levels(shift.indptr, shift.indices, start).tolist() == python_bfs_levels(t, start)
 
 
 @settings(max_examples=300, deadline=None)
