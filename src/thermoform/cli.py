@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import os
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import demos as demo_registry
 from .errors import ConvergenceError, IndeterminateError
-from .intervalmaps import (CHEBYSHEV, DOUBLING_GRID, MANNEVILLE_POMEAU,
+from .intervalmaps import (CHEBYSHEV, DOUBLING_GRID, MANNEVILLE_POMEAU, WHOLE_DOMAIN,
                            chebyshev_model, chebyshev_pressure_curve,
                            doubling_grid_model, gurevich_estimate,
                            manneville_pomeau_model, two_slope_kink, zn_sum)
@@ -244,7 +243,7 @@ def _sequence_table(sub: dict, run) -> dict:
 
 
 def _zn(sub: dict, run) -> dict:
-    base = tuple(sub.get("base", inspect.signature(zn_sum).parameters["base"].default))
+    base = tuple(sub.get("base", WHOLE_DOMAIN))
     zs = [zn_sum(run.interval, sub["t"], n, base) for n in range(1, sub["n_max"] + 1)]
     rows = [(float(z.n), z.value, math.log(z.value) / z.n if z.value > 0 else math.nan,
              float(z.in_base), float(z.skipped)) for z in zs]

@@ -38,6 +38,7 @@ DOUBLING_GRID = "doubling_grid"
 
 _BISECT_STEPS = 60
 MP_MAX_LEVELS = 2000  # the config schema's `levels` maximum
+WHOLE_DOMAIN = (0.0, 1.0 + 1e-12)  # zn_sum's default base: [0, 1], x = 1 included
 MAX_PERIOD = 22  # periodic points hold arrays of 2^n itineraries (the doubling-grid
                  # Z_n holds none but keeps the same cap)
 
@@ -114,7 +115,19 @@ class IntervalMapModel:
             return 0.5 * (y + branch)
         if branch == 1:
             return 0.5 * (y + 1.0)
-        return _bisect(lambda mid: self.apply(mid) < y, np.zeros_like(y), np.full_like(y, 0.5))
+        # x(1 + u) - y, u = (2x)^alpha <= 1, is convex and increasing on [0, 1/2]:
+        # Newton from min(y, 1/2) decreases to the root and stops when no element
+        # decreases (a NaN never does).  np.power, not **: a scalar's ** is libm's pow,
+        # which can differ in the last bit, and a root must not depend on its batch.
+        a = self.alpha
+        x = np.minimum(y, 0.5)
+        while True:
+            u = np.power(2.0 * x, a)
+            nxt = x - (x * (1.0 + u) - y) / (1.0 + (1.0 + a) * u)
+            down = nxt < x
+            if not down.any():
+                return x
+            x = np.where(down, nxt, x)
 
     @property
     def right_closed(self) -> bool:
@@ -368,7 +381,7 @@ class ZnResult:
 
 
 def zn_sum(model: IntervalMapModel, t: float, n: int,
-           base: tuple[float, float] = (0.0, 1.0 + 1e-12)) -> ZnResult:
+           base: tuple[float, float] = WHOLE_DOMAIN) -> ZnResult:
     """Periodic-orbit partition sum over points in the base interval.
 
     Weights are |Df^n|^(-t) for the smooth kinds and exp(t * S_n phi) for
@@ -448,34 +461,13 @@ def two_slope_kink(ts, ps):
 
 
 def mp_preimage_ladder(alpha: float, n_levels: int) -> np.ndarray:
-    """xi_0 = 1/2 and f(xi_{k+1}) = xi_k down the left branch (decreasing to 0).
-
-    Each xi_{k+1} is the bisection of `IntervalMapModel.inverse(0, xi_k)`,
-    step for step, run on Python floats.  x**alpha is one numpy `power` call
-    on a 1-element array, not Python's `**`: numpy's float64 power can
-    differ from the C library's pow in the last bit, and the ladder must be
-    bitwise the one `inverse` gives.
-    """
-    manneville_pomeau_model(alpha)  # checks alpha
-    c = 2.0 ** alpha
-    x = np.empty(1)
-    exponent = np.array([alpha], dtype=float)
+    """xi_0 = 1/2 and xi_{k+1} = `IntervalMapModel.inverse(0, xi_k)` down the
+    left branch (decreasing to 0), each rung to a few ulps relative."""
+    model = manneville_pomeau_model(alpha)  # checks alpha
     ladder = np.empty(n_levels + 1)
-    y = ladder[0] = 0.5
-    for k in range(1, n_levels + 1):
-        lo, hi = 0.0, 0.5
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if mid < 0.5:
-                x[0] = mid
-                f_mid = mid * (1.0 + c * np.power(x, exponent, x).item())
-            else:
-                f_mid = 2.0 * mid - 1.0
-            if f_mid < y:
-                lo = mid
-            else:
-                hi = mid
-        y = ladder[k] = 0.5 * (lo + hi)
+    ladder[0] = 0.5
+    for k in range(n_levels):
+        ladder[k + 1] = model.inverse(0, ladder[k])
     return ladder
 
 
@@ -493,11 +485,12 @@ def mp_induced_model(alpha: float, n_levels: int) -> RenewalModel:
     half of the levels; the tail's offset is then pinned so the levels past
     L carry the remaining mass xi_{L-1}.  The envelope starts past the
     computed levels, where `s` is that shape exactly, so its eps is 0.  The
-    build costs about the ladder (linear in the level count, 0.24-0.29 s at
+    build costs about the ladder (linear in the level count, 0.05-0.09 s at
     2000 levels on a 2-vCPU Xeon host); the level count stays capped at
-    MP_MAX_LEVELS, the schema's `levels` maximum.  A ladder that stalls at
-    its bisection's resolution (small alpha, many levels) leaves a level of
-    zero length and is refused.
+    MP_MAX_LEVELS, the schema's `levels` maximum.  Small alpha's rungs fall
+    as n^(-1/alpha): a ladder that stalls at the float range's bottom (alpha
+    = 0.001 from level 1444) or a tail that underflows (alpha = 0.01 at 2000
+    levels) is refused.
     """
     if n_levels < 8:
         raise ValueError("need at least 8 levels")
@@ -515,9 +508,12 @@ def mp_induced_model(alpha: float, n_levels: int) -> RenewalModel:
     x_fit = np.column_stack([np.ones(len(ns_fit)), -np.log(ns_fit)])
     coef, *_ = np.linalg.lstsq(x_fit, table[fit_from - 1:], rcond=None)
     log_coeff = float(coef[1])
-    # the fit stays above 1 (alpha from 0.05 to 1000, 8 to 2000 levels): the tail converges
-    tail_lo, tail_hi = tail_power_exp(-log_coeff, 0.0, n_levels + 1)
-    offset = math.log(ladder[-1]) - math.log(0.5 * (tail_lo + tail_hi))
+    # the fit stays above 1 (alpha 1e-4 to 1012, 8 to 2000 levels): the tail converges
+    tail = 0.5 * sum(tail_power_exp(-log_coeff, 0.0, n_levels + 1))
+    if not tail >= np.finfo(float).tiny:
+        raise ValueError(f"the fitted tail of alpha={alpha} past {n_levels} levels "
+                         f"underflows the float range; use fewer levels")
+    offset = math.log(ladder[-1]) - math.log(tail)
     envelope = TailEnvelope(0.0, log_coeff, offset, 0.0, n_levels + 1)
 
     def s_fn(n: np.ndarray) -> np.ndarray:

@@ -122,8 +122,9 @@ class RenewalModel:
 def _validate_envelope(model: RenewalModel) -> bool:
     e = model.envelope
     ns = np.arange(e.n_start, e.n_start + 1001, dtype=np.int64)
-    devs = np.abs(model.s_values(ns) - e.center(ns))
-    slack = 1e-9 * (1.0 + np.abs(model.s_values(ns)).max())
+    s = model.s_values(ns)
+    devs = np.abs(s - e.center(ns))
+    slack = 1e-9 * (1.0 + np.abs(s).max())
     worst = float(devs.max())
     if worst > e.eps + slack:
         raise EnvelopeError(

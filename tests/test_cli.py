@@ -274,6 +274,16 @@ def test_mp_alpha_past_the_float_range_exits_2_naming_alpha(tmp_path, capsys, al
     assert not (tmp_path / "out").exists()
 
 
+def test_mp_tail_underflow_exits_2_naming_alpha_and_levels(tmp_path, capsys):
+    cfg = {"model": "interval",
+           "interval": {"kind": "manneville_pomeau", "alpha": 0.01, "levels": 2000},
+           "task": {"classify": {"t": 1.0}}}
+    code, lines = run_main(tmp_path, capsys, cfg)
+    assert code == 2 and len(lines) == 1
+    assert "alpha=0.01 past 2000 levels underflows" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_underflowed_gurevich_sum_exits_3_naming_t_and_n(tmp_path, capsys):
     cfg = {"model": "interval", "interval": {"kind": "chebyshev"},
            "task": {"gurevich": {"t_values": [800.0], "n_max": 8}}}

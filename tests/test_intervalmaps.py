@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -143,26 +144,55 @@ def test_mp_pressure_values():
     assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
 
 
-def reference_mp_ladder(alpha, n_levels):
-    """Reference: xi_{k+1} = inverse(0, xi_k), one 0-d array bisection per level."""
-    model = manneville_pomeau_model(alpha)
-    xi = [0.5]
-    for _ in range(n_levels):
-        xi.append(float(model.inverse(0, np.array(xi[-1]))))
-    return np.array(xi)
-
-
 MP_LADDER_ALPHAS = [0.05, 0.3, 0.5, 0.9, 3.7]
-# the benchmark's alpha range, where a ladder on Python's ** drifts in the last bit
+# the benchmark's alpha range, where a scalar pow and numpy's loop differ in the last bit
 MP_DRAWN_ALPHAS = np.random.default_rng(15).uniform(0.48, 0.52, 20).tolist()
 
 
 @pytest.mark.parametrize("alpha", MP_LADDER_ALPHAS + MP_DRAWN_ALPHAS)
 def test_mp_ladder_matches_inverse_bitwise(alpha):
-    reference = reference_mp_ladder(alpha, 120)  # level k depends on level k-1 only
-    for n_levels in (8, 49, 120):
-        assert np.array_equal(mp_preimage_ladder(alpha, n_levels),
-                              reference[:n_levels + 1])
+    # the ladder inverts one rung per call; one call on every rung at once
+    # gives the same floats, so a root does not depend on its batch
+    ladder = mp_preimage_ladder(alpha, 120)
+    assert np.array_equal(manneville_pomeau_model(alpha).inverse(0, ladder[:-1]), ladder[1:])
+
+
+def mpmath_level_lengths(alpha, n_levels):
+    """xi_{n-2} - xi_{n-1} for n = 1..n_levels (xi_{-1} = 1), the ladder
+    solved to 50 digits by mpmath's bracketing root finder: f(xi_{k+1}) = xi_k
+    has its root in [xi_k / 2, xi_k]."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        xi = [mpmath.mpf(1), mpmath.mpf(0.5)]
+        for _ in range(n_levels - 1):
+            y = xi[-1]
+            xi.append(mpmath.findroot(lambda x: x * (1 + (2 * x) ** a) - y, (y / 2, y),
+                                      solver="anderson"))
+        return [hi - lo for hi, lo in zip(xi, xi[1:])]
+
+
+@pytest.mark.parametrize("alpha, n_levels", [(0.05, 140), (0.1, 460), (0.5, 2000)])
+def test_mp_level_lengths_match_a_50_digit_ladder(alpha, n_levels):
+    # the rungs fall as n^(-1/alpha), so each needs relative, not absolute, digits
+    ladder = mp_preimage_ladder(alpha, n_levels - 1)
+    lengths = np.concatenate(([1.0], ladder[:-1])) - ladder
+    with mpmath.workdps(50):
+        worst = max(abs(mpmath.mpf(float(got)) - want) / want
+                    for got, want in zip(lengths, mpmath_level_lengths(alpha, n_levels)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from([1e-4, 0.05, 0.5, 3.7, 1000.0]),
+       ys=st.lists(st.one_of(st.just(0.0), st.floats(sys.float_info.min, 1.0, exclude_max=True)),
+                   min_size=1, max_size=20))
+def test_mp_left_inverse_residual_is_relative(alpha, ys):
+    y = np.array(ys)
+    x = manneville_pomeau_model(alpha).inverse(0, y)
+    assert np.all(x <= 0.5)
+    left = x * (1.0 + 2.0 ** alpha * x ** alpha)  # the left branch, x = 1/2 included
+    assert np.all(np.abs(left - y) <= 1e-13 * y)
 
 
 def test_mp_ladder_of_2000_levels_is_fast():
@@ -218,9 +248,15 @@ def test_mp_model_of_2000_levels_builds_in_a_second():
 
 
 def test_mp_ladder_stalled_at_its_resolution_is_refused():
-    # at alpha = 0.05 the ladder falls below the bisection's step near 1e-18
-    with pytest.raises(ValueError, match="stalls at level 151"):
-        mp_induced_model(0.05, 200)
+    # at alpha = 0.001 the rungs reach the bottom of the float range
+    with pytest.raises(ValueError, match="stalls at level 1444"):
+        mp_induced_model(0.001, 2000)
+
+
+def test_mp_tail_below_the_float_range_is_refused():
+    # at alpha = 0.01 the ladder holds, but the fitted tail, near n^(-100), underflows
+    with pytest.raises(ValueError, match="alpha=0.01 past 2000 levels underflows"):
+        mp_induced_model(0.01, 2000)
 
 
 @pytest.mark.parametrize("alpha", [1023.9, math.inf, math.nan, 1024, 10 ** 400])
